@@ -20,36 +20,33 @@
 //! path that dropped or mangled telemetry.
 //!
 //! Results go to `BENCH_ctrl.json` at the repo root (schema in
-//! `docs/benchmarks.md`). Flags, mirroring `perf_sim`:
-//!
-//! * `--quick` — subset of the grid, fewer repeats (CI smoke mode);
-//! * `--out FILE` — write somewhere else (CI writes a scratch copy);
-//! * `--check FILE` — compare against a committed baseline and exit
-//!   non-zero when any cell's `ingest_speedup` regressed by more than
-//!   2×, or fell below the cell's hard floor (the ≥5× acceptance bar on
-//!   the 1M-samples/s cell).
+//! `docs/benchmarks.md`). Flags and gates are the shared ones of
+//! [`rod_bench::perf`]: `--quick`, `--out FILE`, and `--check FILE`,
+//! which fails on a >2× `ingest_speedup` regression or on a cell under
+//! its hard floor (the ≥5× acceptance bar on the 1M-samples/s cell).
 
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use rod_bench::output::{arg_value, print_table};
+use rod_bench::perf::{self, median, Args, Provenance};
 use rod_core::cluster::Cluster;
 use rod_core::examples_paper::figure4_graph;
 use rod_ctrl::{ControlConfig, ControlLoop, SampleBatch, TelemetryConfig, TelemetryIngest};
 use rod_sim::replay::scan::{probe_util_sample, LineScanner, UtilScratch};
 
-/// Schema version of `BENCH_ctrl.json`; bump on breaking layout changes
-/// and teach `--check` the migration.
+/// Schema version of `BENCH_ctrl.json`; bump on breaking layout changes.
 const SCHEMA_VERSION: u32 = 1;
 
 /// Stream-generation seed — fixed so the trajectory tracks code.
 const SEED: u64 = 42;
 
-/// Batch size of the fast path under test (the front ends' default).
+/// Hard floors under `--check`, as `(cell, column, floor)`: the
+/// acceptance cell's fast path must stay ≥ 5× line-at-a-time.
+const FLOORS: &[(&str, &str, f64)] = &[("ingest_1m", "ingest_speedup", 5.0)];
+
+/// Batch size of the fast path under test (`rodd`'s default).
 const MAX_BATCH: usize = 256;
 
 #[derive(Clone, Copy)]
@@ -69,8 +66,6 @@ struct Cell {
     /// Included in `--quick` runs (identical parameters so `--check`
     /// can match cells by name).
     quick: bool,
-    /// Hard floor on `ingest_speedup` under `--check`; zero = ratio-only.
-    min_speedup: f64,
 }
 
 const GRID: &[Cell] = &[
@@ -79,16 +74,14 @@ const GRID: &[Cell] = &[
         kind: Kind::Ingest,
         lines: 100_000,
         quick: true,
-        min_speedup: 0.0,
     },
     // The acceptance cell: one simulated second of a 1M-samples/s
-    // telemetry firehose, with a ≥5× floor on the fast path's advantage.
+    // telemetry firehose (floor in `FLOORS`).
     Cell {
         name: "ingest_1m",
         kind: Kind::Ingest,
         lines: 1_000_000,
         quick: true,
-        min_speedup: 5.0,
     },
     // Full control loop on the paper's Figure 4 graph: parsing competes
     // with drift detection, headroom evaluation, and decision logging.
@@ -97,11 +90,10 @@ const GRID: &[Cell] = &[
         kind: Kind::Loop,
         lines: 200_000,
         quick: false,
-        min_speedup: 0.0,
     },
 ];
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct CellResult {
     name: String,
     /// Telemetry lines in the stream (a handful are deliberately
@@ -115,44 +107,6 @@ struct CellResult {
     /// The headline machine-relative ratio: batched over line-at-a-time.
     ingest_speedup: f64,
     max_batch: usize,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BenchFile {
-    schema_version: u32,
-    created_unix: u64,
-    rustc: String,
-    commit: String,
-    /// Logical cores of the recording machine (provenance; both paths
-    /// are single-threaded, so the ratios do not depend on it).
-    cores: usize,
-    quick: bool,
-    repeats: usize,
-    seed: u64,
-    grid: Vec<CellResult>,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn tool_line(cmd: &str, args: &[&str]) -> String {
-    Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// A production-volume telemetry stream: strict-form `UtilSample` lines
@@ -238,20 +192,14 @@ fn ingest_batched(bytes: &[u8]) -> (TelemetryIngest, f64) {
         batch.clear();
         ingest.ingest_line(text);
     };
+    let mut sink = |line: &[u8]| -> Result<(), std::convert::Infallible> {
+        on_line(&mut ingest, &mut batch, line);
+        Ok(())
+    };
     for chunk in bytes.chunks(64 * 1024) {
-        scanner
-            .feed(chunk, |line| -> Result<(), std::convert::Infallible> {
-                on_line(&mut ingest, &mut batch, line);
-                Ok(())
-            })
-            .unwrap();
+        scanner.feed(chunk, &mut sink).unwrap();
     }
-    scanner
-        .finish(|line| -> Result<(), std::convert::Infallible> {
-            on_line(&mut ingest, &mut batch, line);
-            Ok(())
-        })
-        .unwrap();
+    scanner.finish(sink).unwrap();
     ingest.ingest_batch(&batch, |_, _| {});
     (ingest, t.elapsed().as_secs_f64())
 }
@@ -322,8 +270,8 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
             }
         }
     }
-    let line_s = median(&mut line_times);
-    let batch_s = median(&mut batch_times);
+    let line_s = median(&mut line_times).expect("at least one repeat");
+    let batch_s = median(&mut batch_times).expect("at least one repeat");
     CellResult {
         name: cell.name.to_string(),
         lines: cell.lines as u64,
@@ -337,140 +285,48 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     }
 }
 
-/// Trimmed view of a baseline cell — only what the checker compares
-/// (the vendored serde shim ignores unknown fields, keeping `--check`
-/// forward-compatible with later schema additions).
-#[derive(Deserialize)]
-struct BaselineCell {
-    name: String,
-    ingest_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct BaselineFile {
-    schema_version: u32,
-    grid: Vec<BaselineCell>,
-}
-
-/// Compares against a baseline; returns the regressed cell names. A
-/// cell regresses when `baseline_speedup / current_speedup > 2.0`, or
-/// when the current speedup falls under the cell's hard floor.
-fn regressions(current: &BenchFile, baseline_path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-    let baseline: BaselineFile = serde_json::from_str(&text).expect("baseline parses");
-    assert!(
-        baseline.schema_version >= 1 && baseline.schema_version <= SCHEMA_VERSION,
-        "baseline schema version {} is not supported (expected 1..={SCHEMA_VERSION})",
-        baseline.schema_version
-    );
-    let mut bad = Vec::new();
-    for cur in &current.grid {
-        if let Some(floor) = GRID
-            .iter()
-            .find(|c| c.name == cur.name)
-            .map(|c| c.min_speedup)
-        {
-            if floor > 0.0 && cur.ingest_speedup < floor {
-                bad.push(format!(
-                    "{}: ingest speedup {:.2}x under the {floor:.0}x floor",
-                    cur.name, cur.ingest_speedup
-                ));
-                continue;
-            }
-        }
-        let Some(base) = baseline.grid.iter().find(|b| b.name == cur.name) else {
-            continue;
-        };
-        if base.ingest_speedup <= 0.0 || cur.ingest_speedup <= 0.0 {
-            continue;
-        }
-        if base.ingest_speedup / cur.ingest_speedup > 2.0 {
-            bad.push(format!(
-                "{}: ingest speedup {:.2}x vs baseline {:.2}x",
-                cur.name, cur.ingest_speedup, base.ingest_speedup
-            ));
-        }
-    }
-    bad
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let repeats = if quick { 3 } else { 5 };
-    let out = arg_value("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("BENCH_ctrl.json"));
+    let args = Args::parse("BENCH_ctrl.json");
+    let repeats = if args.quick { 3 } else { 5 };
+    let grid: Vec<CellResult> = GRID
+        .iter()
+        .filter(|c| !args.quick || c.quick)
+        .map(|cell| {
+            eprintln!("[perf_ctrl] {} ...", cell.name);
+            run_cell(cell, repeats)
+        })
+        .collect();
 
-    let cells: Vec<&Cell> = GRID.iter().filter(|c| !quick || c.quick).collect();
-    let mut grid = Vec::with_capacity(cells.len());
-    for cell in cells {
-        eprintln!("[perf_ctrl] {} ...", cell.name);
-        grid.push(run_cell(cell, repeats));
-    }
-
-    let file = BenchFile {
-        schema_version: SCHEMA_VERSION,
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        rustc: tool_line("rustc", &["--version"]),
-        commit: tool_line(
-            "git",
-            &["-C", repo_root().to_str().unwrap(), "rev-parse", "HEAD"],
-        ),
-        cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        quick,
-        repeats,
-        seed: SEED,
-        grid,
-    };
-
-    let rows: Vec<Vec<String>> = file
-        .grid
+    let mega = |x: f64| format!("{:.2}M", x / 1e6);
+    let rows: Vec<Vec<(&str, String)>> = grid
         .iter()
         .map(|c| {
             vec![
-                c.name.clone(),
-                format!("{:.0}k", c.lines as f64 / 1e3),
-                format!("{:.1}M", c.stream_bytes as f64 / 1e6),
-                format!("{:.3}", c.line_seconds),
-                format!("{:.3}", c.batched_seconds),
-                format!("{:.2}M", c.line_samples_per_sec / 1e6),
-                format!("{:.2}M", c.batched_samples_per_sec / 1e6),
-                format!("{:.1}x", c.ingest_speedup),
+                ("cell", c.name.clone()),
+                ("lines", format!("{:.0}k", c.lines as f64 / 1e3)),
+                ("bytes", format!("{:.1}M", c.stream_bytes as f64 / 1e6)),
+                ("line s", format!("{:.3}", c.line_seconds)),
+                ("batch s", format!("{:.3}", c.batched_seconds)),
+                ("line sps", mega(c.line_samples_per_sec)),
+                ("batch sps", mega(c.batched_samples_per_sec)),
+                ("speedup", format!("{:.1}x", c.ingest_speedup)),
             ]
         })
         .collect();
-    print_table(
-        "control-plane ingest trajectory (medians)",
-        &[
-            "cell",
-            "lines",
-            "bytes",
-            "line s",
-            "batch s",
-            "line sps",
-            "batch sps",
-            "speedup",
-        ],
-        &rows,
+    let file = perf::envelope(
+        SCHEMA_VERSION,
+        &Provenance::capture(),
+        args.quick,
+        repeats,
+        &[("seed", SEED)],
+        &grid,
     );
-
-    let json = serde_json::to_string_pretty(&file).expect("results serialise");
-    std::fs::write(&out, json).expect("write bench file");
-    println!("[bench written to {}]", out.display());
-
-    if let Some(baseline) = arg_value("--check") {
-        let bad = regressions(&file, Path::new(&baseline));
-        if bad.is_empty() {
-            println!("[check] no >2x speedup regressions vs {baseline}");
-        } else {
-            eprintln!("[check] PERF REGRESSION vs {baseline}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            std::process::exit(1);
-        }
-    }
+    perf::finish(
+        &args,
+        &file,
+        "control-plane ingest trajectory (medians)",
+        &rows,
+        &["ingest_speedup"],
+        FLOORS,
+    );
 }

@@ -17,22 +17,16 @@
 //! the perf numbers can never come from an engine that dropped work.
 //!
 //! Results go to `BENCH_sim.json` at the repo root (schema in
-//! `docs/benchmarks.md`). Flags, mirroring `perf_planner`:
-//!
-//! * `--quick` — subset of the grid, fewer repeats (CI smoke mode);
-//! * `--out FILE` — write somewhere else (CI writes a scratch copy);
-//! * `--check FILE` — compare against a committed baseline and exit
-//!   non-zero when any cell's `batch_speedup` regressed by more than 2×,
-//!   or fell below the cell's hard floor (the ≥10× acceptance bar on
-//!   the 1M-tuples/s cell).
+//! `docs/benchmarks.md`). Flags and gates are the shared ones of
+//! [`rod_bench::perf`]: `--quick`, `--out FILE`, and `--check FILE`,
+//! which fails on a >2× `batch_speedup` regression or on a cell under
+//! its hard floor (the ≥10× acceptance bar on the 1M-tuples/s cell).
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use rod_bench::output::{arg_value, print_table};
+use rod_bench::perf::{self, median, Args, Provenance};
 use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
 use rod_core::graph::{GraphBuilder, QueryGraph};
@@ -41,12 +35,15 @@ use rod_core::operator::OperatorKind;
 use rod_sim::{BatchConfig, SimReport, Simulation, SimulationConfig, SourceSpec};
 use rod_traces::OnOffAggregate;
 
-/// Schema version of `BENCH_sim.json`; bump on breaking layout changes
-/// and teach `--check` the migration.
+/// Schema version of `BENCH_sim.json`; bump on breaking layout changes.
 const SCHEMA_VERSION: u32 = 1;
 
 /// Run seed — fixed so the trajectory tracks code, not instances.
 const SEED: u64 = 42;
+
+/// Hard floors under `--check`, as `(cell, column, floor)`: the
+/// acceptance cell's batched engine must stay ≥ 10× the reference.
+const FLOORS: &[(&str, &str, f64)] = &[("chain_1m", "batch_speedup", 10.0)];
 
 #[derive(Clone, Copy)]
 enum Load {
@@ -67,8 +64,6 @@ struct Cell {
     /// Included in `--quick` runs (must stay a subset of the full grid
     /// with identical parameters so `--check` can match cells by name).
     quick: bool,
-    /// Hard floor on `batch_speedup` under `--check`; zero = ratio-only.
-    min_speedup: f64,
 }
 
 const GRID: &[Cell] = &[
@@ -78,17 +73,14 @@ const GRID: &[Cell] = &[
         horizon: 5.0,
         op_cost: 2e-6,
         quick: true,
-        min_speedup: 0.0,
     },
-    // The acceptance cell: ≥ 1M tuples/s with a ≥10× floor on the
-    // batched engine's advantage.
+    // The acceptance cell: ≥ 1M tuples/s (floor in `FLOORS`).
     Cell {
         name: "chain_1m",
         load: Load::Constant { rate: 1e6 },
         horizon: 4.0,
         op_cost: 2e-7,
         quick: true,
-        min_speedup: 10.0,
     },
     // Bursty self-similar ON/OFF aggregate at 500k mean tuples/s: the
     // §7.3 trace-driven regime, where batches form unevenly.
@@ -98,11 +90,10 @@ const GRID: &[Cell] = &[
         horizon: 10.0,
         op_cost: 4e-7,
         quick: false,
-        min_speedup: 0.0,
     },
 ];
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct CellResult {
     name: String,
     /// Mean source rate (tuples/s) of the cell's workload.
@@ -119,44 +110,6 @@ struct CellResult {
     batch_speedup: f64,
     max_batch: usize,
     bucket_seconds: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BenchFile {
-    schema_version: u32,
-    created_unix: u64,
-    rustc: String,
-    commit: String,
-    /// Logical cores of the recording machine (provenance; both engines
-    /// are single-threaded, so the ratios do not depend on it).
-    cores: usize,
-    quick: bool,
-    repeats: usize,
-    seed: u64,
-    grid: Vec<CellResult>,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn tool_line(cmd: &str, args: &[&str]) -> String {
-    Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Three-map chain spread over two nodes — the hot path is the event
@@ -247,8 +200,8 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
         ref_times.push(ref_s);
         bat_times.push(bat_s);
     }
-    let ref_s = median(&mut ref_times);
-    let bat_s = median(&mut bat_times);
+    let ref_s = median(&mut ref_times).expect("at least one repeat");
+    let bat_s = median(&mut bat_times).expect("at least one repeat");
     let rate = match cell.load {
         Load::Constant { rate } => rate,
         Load::OnOff { mean } => mean,
@@ -268,140 +221,48 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     }
 }
 
-/// Trimmed view of a baseline cell — only what the checker compares
-/// (the vendored serde shim ignores unknown fields, keeping `--check`
-/// forward-compatible with later schema additions).
-#[derive(Deserialize)]
-struct BaselineCell {
-    name: String,
-    batch_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct BaselineFile {
-    schema_version: u32,
-    grid: Vec<BaselineCell>,
-}
-
-/// Compares against a baseline; returns the regressed cell names. A
-/// cell regresses when `baseline_speedup / current_speedup > 2.0`, or
-/// when the current speedup falls under the cell's hard floor.
-fn regressions(current: &BenchFile, baseline_path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-    let baseline: BaselineFile = serde_json::from_str(&text).expect("baseline parses");
-    assert!(
-        baseline.schema_version >= 1 && baseline.schema_version <= SCHEMA_VERSION,
-        "baseline schema version {} is not supported (expected 1..={SCHEMA_VERSION})",
-        baseline.schema_version
-    );
-    let mut bad = Vec::new();
-    for cur in &current.grid {
-        if let Some(floor) = GRID
-            .iter()
-            .find(|c| c.name == cur.name)
-            .map(|c| c.min_speedup)
-        {
-            if floor > 0.0 && cur.batch_speedup < floor {
-                bad.push(format!(
-                    "{}: batch speedup {:.2}x under the {floor:.0}x floor",
-                    cur.name, cur.batch_speedup
-                ));
-                continue;
-            }
-        }
-        let Some(base) = baseline.grid.iter().find(|b| b.name == cur.name) else {
-            continue;
-        };
-        if base.batch_speedup <= 0.0 || cur.batch_speedup <= 0.0 {
-            continue;
-        }
-        if base.batch_speedup / cur.batch_speedup > 2.0 {
-            bad.push(format!(
-                "{}: batch speedup {:.2}x vs baseline {:.2}x",
-                cur.name, cur.batch_speedup, base.batch_speedup
-            ));
-        }
-    }
-    bad
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let repeats = if quick { 3 } else { 5 };
-    let out = arg_value("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("BENCH_sim.json"));
+    let args = Args::parse("BENCH_sim.json");
+    let repeats = if args.quick { 3 } else { 5 };
+    let grid: Vec<CellResult> = GRID
+        .iter()
+        .filter(|c| !args.quick || c.quick)
+        .map(|cell| {
+            eprintln!("[perf_sim] {} ...", cell.name);
+            run_cell(cell, repeats)
+        })
+        .collect();
 
-    let cells: Vec<&Cell> = GRID.iter().filter(|c| !quick || c.quick).collect();
-    let mut grid = Vec::with_capacity(cells.len());
-    for cell in cells {
-        eprintln!("[perf_sim] {} ...", cell.name);
-        grid.push(run_cell(cell, repeats));
-    }
-
-    let file = BenchFile {
-        schema_version: SCHEMA_VERSION,
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        rustc: tool_line("rustc", &["--version"]),
-        commit: tool_line(
-            "git",
-            &["-C", repo_root().to_str().unwrap(), "rev-parse", "HEAD"],
-        ),
-        cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        quick,
-        repeats,
-        seed: SEED,
-        grid,
-    };
-
-    let rows: Vec<Vec<String>> = file
-        .grid
+    let mega = |x: f64| format!("{:.2}M", x / 1e6);
+    let rows: Vec<Vec<(&str, String)>> = grid
         .iter()
         .map(|c| {
             vec![
-                c.name.clone(),
-                format!("{:.0}k", c.rate / 1e3),
-                c.tuples.to_string(),
-                format!("{:.3}", c.reference_seconds),
-                format!("{:.3}", c.batched_seconds),
-                format!("{:.2}M", c.reference_tuples_per_sec / 1e6),
-                format!("{:.2}M", c.batched_tuples_per_sec / 1e6),
-                format!("{:.1}x", c.batch_speedup),
+                ("cell", c.name.clone()),
+                ("rate", format!("{:.0}k", c.rate / 1e3)),
+                ("tuples", c.tuples.to_string()),
+                ("ref s", format!("{:.3}", c.reference_seconds)),
+                ("batch s", format!("{:.3}", c.batched_seconds)),
+                ("ref tps", mega(c.reference_tuples_per_sec)),
+                ("batch tps", mega(c.batched_tuples_per_sec)),
+                ("speedup", format!("{:.1}x", c.batch_speedup)),
             ]
         })
         .collect();
-    print_table(
-        "simulator perf trajectory (medians)",
-        &[
-            "cell",
-            "rate",
-            "tuples",
-            "ref s",
-            "batch s",
-            "ref tps",
-            "batch tps",
-            "speedup",
-        ],
-        &rows,
+    let file = perf::envelope(
+        SCHEMA_VERSION,
+        &Provenance::capture(),
+        args.quick,
+        repeats,
+        &[("seed", SEED)],
+        &grid,
     );
-
-    let json = serde_json::to_string_pretty(&file).expect("results serialise");
-    std::fs::write(&out, json).expect("write bench file");
-    println!("[bench written to {}]", out.display());
-
-    if let Some(baseline) = arg_value("--check") {
-        let bad = regressions(&file, Path::new(&baseline));
-        if bad.is_empty() {
-            println!("[check] no >2x speedup regressions vs {baseline}");
-        } else {
-            eprintln!("[check] PERF REGRESSION vs {baseline}:");
-            for line in &bad {
-                eprintln!("  {line}");
-            }
-            std::process::exit(1);
-        }
-    }
+    perf::finish(
+        &args,
+        &file,
+        "simulator perf trajectory (medians)",
+        &rows,
+        &["batch_speedup"],
+        FLOORS,
+    );
 }

@@ -9,11 +9,14 @@
 //!   every randomised algorithm repeated with fresh random inputs, ROD
 //!   run once (it "does not depend on the input stream rates and produces
 //!   only one operator distribution plan");
-//! * [`output`] — console tables and JSON result files under `results/`.
+//! * [`output`] — console tables and JSON result files under `results/`;
+//! * [`perf`] — the shared scaffolding and `--check` gates of the
+//!   `perf_*` trajectory bins.
 
 #![warn(missing_docs)]
 pub mod comparison;
 pub mod output;
+pub mod perf;
 pub mod plot;
 
 pub use comparison::{compare_algorithms, parallel_map, AlgorithmResult, ComparisonConfig};

@@ -30,11 +30,14 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// The repository root.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// Directory where experiment binaries drop machine-readable results.
 pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     fs::create_dir_all(&dir).expect("create results directory");
     dir
 }

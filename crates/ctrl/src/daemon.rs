@@ -150,8 +150,8 @@ pub struct ControlConfig {
     pub min_headroom_gain: f64,
     /// Maximum predicted downtime a routine replan may cost, seconds.
     pub max_predicted_downtime: f64,
-    /// Optional wall-clock planner budget, seconds. `None` = inline,
-    /// deterministic — required for bit-identical replays.
+    /// Optional wall-clock planner budget, finite seconds ≥ 0. `None` =
+    /// inline, deterministic — required for bit-identical replays.
     pub plan_budget: Option<f64>,
 }
 
@@ -230,13 +230,25 @@ pub struct ControlLoop {
 impl ControlLoop {
     /// A loop controlling `initial` (which must be a complete allocation
     /// of the model's operators onto the cluster) with the real ROD
-    /// strategy and a reliable executor.
+    /// strategy and a reliable executor. Fails on an invalid cluster
+    /// (no nodes, or a capacity that is not finite and positive) and on
+    /// a `plan_budget` that is not a finite number of seconds ≥ 0.
     pub fn new(
         model: LoadModel,
         cluster: Cluster,
         initial: Allocation,
         cfg: ControlConfig,
     ) -> Result<ControlLoop, String> {
+        cluster
+            .validate()
+            .map_err(|e| format!("invalid cluster: {e}"))?;
+        if let Some(budget) = cfg.plan_budget {
+            if !(budget.is_finite() && budget >= 0.0) {
+                return Err(format!(
+                    "plan budget must be finite and >= 0 seconds, got {budget}"
+                ));
+            }
+        }
         if !initial.is_complete() {
             return Err("initial allocation is incomplete".into());
         }
@@ -911,6 +923,46 @@ mod tests {
             .decisions()
             .iter()
             .any(|d| matches!(d, Decision::PlanCommitted { .. })));
+    }
+
+    fn new_loop(cluster: Cluster, plan_budget: Option<f64>) -> Result<ControlLoop, String> {
+        let model = LoadModel::derive(&figure4_graph()).unwrap();
+        let initial = make_loop().current().clone();
+        let cfg = ControlConfig {
+            plan_budget,
+            ..ControlConfig::default()
+        };
+        ControlLoop::new(model, cluster, initial, cfg)
+    }
+
+    #[test]
+    fn invalid_clusters_are_rejected_up_front() {
+        for cluster in [
+            Cluster::homogeneous(2, 0.0),
+            Cluster::homogeneous(2, f64::NAN),
+            Cluster::homogeneous(0, 1.0),
+        ] {
+            let err = new_loop(cluster.clone(), None).err();
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.contains("invalid cluster")),
+                "{cluster:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_budgets_must_be_finite_and_non_negative() {
+        for budget in [f64::INFINITY, f64::NAN, -1.0] {
+            let err = new_loop(Cluster::homogeneous(2, 1.0), Some(budget)).err();
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("plan budget")),
+                "{budget}: {err:?}"
+            );
+        }
+        for budget in [0.0, 0.5] {
+            assert!(new_loop(Cluster::homogeneous(2, 1.0), Some(budget)).is_ok());
+        }
     }
 
     #[test]

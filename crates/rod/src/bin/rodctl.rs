@@ -109,10 +109,7 @@ fn usage() -> String {
      \u{20}        bucket width; --batch 1 is byte-identical to per-tuple)\n\
      \u{20}        [--trace-out FILE] [--metrics-interval T] [--threads N]\n\
      \u{20}        (--fault-tolerance is an alias for --failover)\n\
-     trace    --kind pkt|tcp|http|poisson [--bins-log2 N] [--mean R] [--seed N] [--out FILE]\n\
-     daemon   --graph FILE --nodes N --trace-in FILE [--capacity C]\n\
-     \u{20}        [--plan FILE] [--plan-out FILE] [--log-out FILE] [--budget SECONDS]\n\
-     \u{20}        [--ingest-batch N]"
+     trace    --kind pkt|tcp|http|poisson [--bins-log2 N] [--mean R] [--seed N] [--out FILE]"
         .to_string()
 }
 
@@ -667,49 +664,6 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_daemon(flags: &Flags) -> Result<String, String> {
-    let graph = load_graph(flags)?;
-    let cluster = load_cluster(flags)?;
-
-    let mut cfg = rod::ctrl::ControlConfig::default();
-    if flags.has("budget") {
-        cfg.plan_budget = Some(flags.parse_num("budget", 0.0)?);
-    }
-
-    let mut loop_ = if flags.has("plan") {
-        let initial = load_plan(flags)?;
-        let model = LoadModel::derive(&graph).map_err(|e| e.to_string())?;
-        rod::ctrl::ControlLoop::new(model, cluster, initial, cfg)?
-    } else {
-        rod::ctrl::bootstrap(&graph, cluster, cfg)?
-    };
-
-    let ingest_batch: usize = flags.parse_num("ingest-batch", 256)?;
-    if ingest_batch == 0 {
-        return Err("--ingest-batch: bad value '0' (want an integer >= 1)".to_string());
-    }
-
-    let trace_path = flags.require("trace-in")?;
-    let file = fs::File::open(trace_path).map_err(|e| format!("open {trace_path}: {e}"))?;
-    let summary = loop_
-        .replay_batched(std::io::BufReader::new(file), ingest_batch)
-        .map_err(|e| format!("read {trace_path}: {e}"))?;
-
-    if let Some(out) = flags.get("plan-out") {
-        let json =
-            serde_json::to_string(loop_.current()).map_err(|e| format!("serialise plan: {e}"))?;
-        fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
-    }
-    if let Some(out) = flags.get("log-out") {
-        fs::write(out, loop_.decision_log_jsonl()).map_err(|e| format!("write {out}: {e}"))?;
-    }
-
-    let mut out = serde_json::to_string(&summary).map_err(|e| format!("serialise summary: {e}"))?;
-    out.push('\n');
-    out.push_str(&loop_.metrics().snapshot().render());
-    Ok(out)
-}
-
 fn run(args: &[String]) -> Result<String, String> {
     let command = args.first().ok_or_else(usage)?;
     let flags = Flags::parse(&args[1..])?;
@@ -722,7 +676,6 @@ fn run(args: &[String]) -> Result<String, String> {
         "compare" => cmd_compare(&flags),
         "simulate" => cmd_simulate(&flags),
         "trace" => cmd_trace(&flags),
-        "daemon" => cmd_daemon(&flags),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command '{other}'\n{}", usage())),
     }
