@@ -1,20 +1,22 @@
-//! **Simulator performance trajectory** — times the per-tuple reference
-//! engine against the batched engine (`rod_sim::batched`) at
+//! **Simulator performance trajectory** — times the simulator's two
+//! delivery modes (one engine, `rod_sim::batched`) against each other at
 //! production-volume rates and records the repo's persistent simulator
-//! perf baseline.
+//! perf baseline. The *reference* leg is strict mode — the default,
+//! tuple-by-tuple delivery (`SimulationConfig::batch = None`) — and the
+//! *batched* leg runs `BatchConfig::default()`.
 //!
 //! Each grid cell fixes a workload (a map chain at a constant Poisson
-//! rate, or a bursty self-similar ON/OFF trace) and runs it on both
-//! engines over `repeats` repetitions, keeping median wall times. The
+//! rate, or a bursty self-similar ON/OFF trace) and runs it in both
+//! modes over `repeats` repetitions, keeping median wall times. The
 //! headline column is `batch_speedup` — batched tuples/sec over
 //! reference tuples/sec on the same machine, so the number is a
 //! machine-relative ratio like `perf_planner`'s speedups and stays
 //! comparable across runner hardware.
 //!
-//! Every repetition cross-checks the engines: the batched run must see
+//! Every repetition cross-checks the modes: the batched run must see
 //! exactly the reference's arrival count (identical source RNG draws)
 //! and deliver the same tuples within a small horizon-edge tolerance —
-//! the perf numbers can never come from an engine that dropped work.
+//! the perf numbers can never come from a run that dropped work.
 //!
 //! Results go to `BENCH_sim.json` at the repo root (schema in
 //! `docs/benchmarks.md`). Flags and gates are the shared ones of
@@ -42,7 +44,7 @@ const SCHEMA_VERSION: u32 = 1;
 const SEED: u64 = 42;
 
 /// Hard floors under `--check`, as `(cell, column, floor)`: the
-/// acceptance cell's batched engine must stay ≥ 10× the reference.
+/// acceptance cell's batched delivery must stay ≥ 10× strict mode.
 const FLOORS: &[(&str, &str, f64)] = &[("chain_1m", "batch_speedup", 10.0)];
 
 #[derive(Clone, Copy)]
@@ -99,8 +101,8 @@ struct CellResult {
     /// Mean source rate (tuples/s) of the cell's workload.
     rate: f64,
     horizon_seconds: f64,
-    /// Source tuples generated within the horizon (identical on both
-    /// engines by construction).
+    /// Source tuples generated within the horizon (identical in both
+    /// modes by construction).
     tuples: u64,
     reference_seconds: f64,
     batched_seconds: f64,
@@ -181,10 +183,10 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
     for _ in 0..repeats {
         let (ref_report, ref_s) = run_once(cell, None);
         let (bat_report, bat_s) = run_once(cell, Some(batch));
-        // The perf numbers must come from engines doing the same work.
+        // The perf numbers must come from runs doing the same work.
         assert_eq!(
             ref_report.tuples_in, bat_report.tuples_in,
-            "{}: engines disagree on the arrival count",
+            "{}: the two modes disagree on the arrival count",
             cell.name
         );
         assert!(!ref_report.saturated && !bat_report.saturated);

@@ -103,10 +103,10 @@ fn usage() -> String {
      \u{20}        (--rates r1,r2,... | --traces a.csv,b.csv,...)\n\
      \u{20}        [--outage NODE:START:END]... [--failover DETECTION_DELAY]\n\
      \u{20}        [--scheduling fifo|rr|lqf] [--op-queue-bound N]\n\
-     \u{20}        [--batch N] [--batch-bucket S] — batched engine, ≤N tuples\n\
+     \u{20}        [--batch N] [--batch-bucket S] — batched delivery, ≤N tuples\n\
      \u{20}        per batch coalesced within S-second buckets (production\n\
      \u{20}        volumes; identical counts, latency quantiles to within the\n\
-     \u{20}        bucket width; --batch 1 is byte-identical to per-tuple)\n\
+     \u{20}        bucket width; --batch 1 is the default strict mode)\n\
      \u{20}        [--trace-out FILE] [--metrics-interval T] [--threads N]\n\
      \u{20}        (--fault-tolerance is an alias for --failover)\n\
      trace    --kind pkt|tcp|http|poisson [--bins-log2 N] [--mean R] [--seed N] [--out FILE]"
@@ -120,6 +120,11 @@ fn parse_rates(spec: &str, expected: usize) -> Result<Vec<f64>, String> {
         return Err(format!(
             "--rates: expected {expected} values, got {}",
             rates.len()
+        ));
+    }
+    if let Some(bad) = rates.iter().find(|r| !r.is_finite() || **r < 0.0) {
+        return Err(format!(
+            "--rates: rates must be finite and non-negative (got {bad} in '{spec}')"
         ));
     }
     Ok(rates)
@@ -524,7 +529,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
                 .map_err(|_| format!("--op-queue-bound: bad value '{v}'"))?,
         ),
     };
-    // --batch / --batch-bucket switch to the batched engine; either flag
+    // --batch / --batch-bucket switch to batched delivery; either flag
     // alone fills the other from BatchConfig's default.
     let batch = match (flags.get("batch"), flags.get("batch-bucket")) {
         (None, None) => None,
@@ -723,6 +728,15 @@ mod tests {
         assert_eq!(parse_rates("1,2,3", 3).unwrap(), vec![1.0, 2.0, 3.0]);
         assert!(parse_rates("1,2", 3).is_err());
         assert!(parse_rates("1,x", 2).is_err());
+    }
+
+    #[test]
+    fn parse_rates_rejects_non_finite_and_negative_rates() {
+        assert_eq!(parse_rates("0,2.5", 2).unwrap(), vec![0.0, 2.5]);
+        for spec in ["nan,20", "inf,20", "20,-inf", "-5,20"] {
+            let err = parse_rates(spec, 2).unwrap_err();
+            assert!(err.contains("finite and non-negative"), "{spec}: {err}");
+        }
     }
 
     #[test]
@@ -1095,7 +1109,8 @@ mod tests {
         ]);
         let per_tuple = cmd_simulate(&Flags::parse(&base).unwrap()).unwrap();
         // The equivalence contract, end to end through the CLI: batch
-        // size 1 reproduces the per-tuple engine byte for byte.
+        // size 1, at any bucket, is the default tuple-by-tuple delivery
+        // byte for byte.
         let mut with_batch = base.clone();
         with_batch.extend(strings(&["--batch", "1", "--batch-bucket", "0.5"]));
         assert_eq!(
@@ -1331,6 +1346,26 @@ mod tests {
             .unwrap();
             let err = cmd_simulate(&f).unwrap_err();
             assert!(err.contains("metrics-interval"), "'{bad}': {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulate_rejects_degenerate_horizons_and_rates() {
+        // These used to panic (horizon) or never terminate (NaN rate).
+        let (dir, graph_path, plan_path) = graph_and_plan("badhorizon");
+        let run = |extra: &[&str]| {
+            let mut args = strings(&["--graph", &graph_path, "--plan", &plan_path, "--nodes", "2"]);
+            args.extend(strings(extra));
+            cmd_simulate(&Flags::parse(&args).unwrap()).unwrap_err()
+        };
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err = run(&["--rates", "10,10", "--horizon", bad]);
+            assert!(err.contains("horizon"), "'{bad}': {err}");
+        }
+        for bad in ["nan,20", "inf,20", "-5,20"] {
+            let err = run(&["--rates", bad, "--horizon", "5"]);
+            assert!(err.contains("--rates"), "'{bad}': {err}");
         }
         fs::remove_dir_all(&dir).ok();
     }

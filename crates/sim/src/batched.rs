@@ -1,34 +1,29 @@
-//! The batched event engine — the per-tuple reference engine's hot path
-//! rebuilt for production-volume traces (≥ 1M tuples/s).
+//! The simulator's event loop: one engine, two delivery modes.
 //!
-//! The per-tuple engine in [`crate::engine`] pays several heap
-//! operations per tuple on an event queue holding one entry per source
-//! arrival; driving it with the `rod-traces` generators at realistic
-//! volumes bottlenecks the simulator itself. This module coalesces
-//! source emissions into per-(stream, time-bucket) tuple batches, each
-//! carried by a single [`EventKind::BatchArrival`] /
-//! [`EventKind::ServiceComplete`] event pair, and processes a whole
-//! batch's service in one queue transaction. Batch storage is pooled: a
-//! free list recycles `Vec<Tuple>` capacity instead of allocating per
-//! tuple.
+//! Source emissions are framed into per-(stream, time-bucket) tuple
+//! batches, each carried by a single [`EventKind::SourceBatch`] event;
+//! a batch's service is one queue transaction ending in one
+//! [`EventKind::ServiceComplete`]; and batch storage is pooled, a free
+//! list recycling `Vec<Tuple>` capacity instead of allocating per tuple.
 //!
-//! ## Equivalence contract
+//! ## Delivery modes (DESIGN.md §12)
 //!
-//! The per-tuple engine stays as the reference; this engine is an
-//! opt-in ([`crate::engine::SimulationConfig::batch`]) with a pinned
-//! contract (`tests/batched_equiv.rs`):
-//!
-//! * **batch size 1** — byte-identical [`SimReport`]s: arrivals are the
-//!   same RNG draws, every event fires at the same time in the same
-//!   relative order, and all selectivity / reservoir draws happen in
-//!   the same sequence;
+//! * **strict** — the default (`batch: None` in
+//!   [`SimulationConfig`](crate::engine::SimulationConfig)) and every
+//!   batch size of 1: one tuple per batch, and multi-tuple emissions are
+//!   split per tuple and per consumer in emission order.
+//!   This is the simulator's reference semantics; golden pins
+//!   (`tests/batched_equiv.rs`, `tests/trace_golden.rs`) hold its
+//!   reports and traces byte-identical to the per-tuple engine it
+//!   replaced;
 //! * **batch size > 1** — a tuple's processing may be deferred by at
 //!   most [`BatchConfig::bucket`] seconds (batches fire at their last
 //!   tuple's arrival time) and in-batch arrivals cannot interleave with
 //!   other nodes' completions, so counts driven purely by arrivals
 //!   (`tuples_in`, failovers, recoveries, migrations under a static
-//!   control plane) stay identical while selectivity-dependent counts
-//!   and latency quantiles agree within the bucket tolerance.
+//!   control plane) stay identical to strict mode while
+//!   selectivity-dependent counts and latency quantiles agree within the
+//!   bucket tolerance.
 //!
 //! ## Pooling invariants
 //!
@@ -37,7 +32,9 @@
 //! handle exclusively, and a released slot keeps its capacity for the
 //! next allocation. Fan-out to multiple consumers clones the tuples
 //! into fresh slots (the last consumer reuses the original), so no two
-//! owners ever share a slot.
+//! owners ever share a slot. Source tuples take a slot only when their
+//! [`EventKind::SourceBatch`] pops, so a run holds slots for in-flight
+//! work only.
 
 use std::collections::VecDeque;
 
@@ -50,12 +47,69 @@ use rod_geom::rng::{seeded_rng, Rng};
 use rod_geom::Percentiles;
 
 use crate::engine::{
-    bernoulli_emissions, record_latency, BatchConfig, FailoverConfig, MigrationChaos,
-    MigrationConfig, NetworkConfig, SchedulingPolicy, Simulation, LATENCY_STREAM_TAG,
+    BatchConfig, FailoverConfig, MigrationChaos, MigrationConfig, NetworkConfig, SchedulingPolicy,
+    Simulation,
 };
 use crate::events::{BatchId, EventKind, EventQueue, Tuple};
 use crate::report::{RecoveryRecord, SimReport, TimelineSample};
 use crate::trace::{TraceRecord, TraceSink};
+
+/// Strict mode's framing: one tuple per batch (the bucket never binds).
+const STRICT: BatchConfig = BatchConfig {
+    max_batch: 1,
+    bucket: f64::INFINITY,
+};
+
+/// XOR tag deriving the dedicated latency-reservoir RNG stream from the
+/// run seed ("latency"), mirroring the chaos stream: thinning draws must
+/// never perturb source arrivals or selectivity draws, so changing the
+/// sample cap cannot change the simulated trajectory.
+const LATENCY_STREAM_TAG: u64 = 0x006c_6174_656e_6379;
+
+/// Pushes onto `out`, tuple by tuple, the copies that `trials` Bernoulli
+/// trials per tuple at (possibly > 1) selectivity `s` emit: `floor(s)`
+/// sure copies per trial plus one more when the trial's draw falls below
+/// the fractional part. An integral `s` has no fractional part to draw
+/// for, so the stream seeks past all the draws (one `f64`, two keystream
+/// words, each) in one jump instead of computing them; every later draw
+/// stays where it was.
+fn emit_copies(tuples: &[Tuple], s: f64, trials: usize, rng: &mut Rng, out: &mut Vec<Tuple>) {
+    let whole = s.floor();
+    let frac = s - whole;
+    if frac == 0.0 {
+        let draws = (tuples.len() * trials) as u128;
+        rng.set_word_pos(rng.get_word_pos() + 2 * draws);
+        for &tuple in tuples {
+            out.extend(std::iter::repeat(tuple).take(trials * whole as usize));
+        }
+        return;
+    }
+    for &tuple in tuples {
+        for _ in 0..trials {
+            let emit = whole as u64 + u64::from(rng.gen::<f64>() < frac);
+            for _ in 0..emit {
+                out.push(tuple);
+            }
+        }
+    }
+}
+
+/// Seeded reservoir sampling (Algorithm R): each of the `seen` post-
+/// warmup sink tuples ends up in the bounded sample with equal
+/// probability `cap / seen`, so quantiles of the reservoir are unbiased
+/// estimates of the full-sample quantiles. Draws come from a dedicated
+/// RNG stream ([`LATENCY_STREAM_TAG`]) so thinning is invisible to the
+/// simulation itself.
+fn record_latency(samples: &mut Vec<f64>, rng: &mut Rng, seen: u64, cap: usize, value: f64) {
+    if samples.len() < cap {
+        samples.push(value);
+    } else {
+        let idx = rng.gen_range(0..seen);
+        if (idx as usize) < cap {
+            samples[idx as usize] = value;
+        }
+    }
+}
 
 /// Pooled tuple-batch storage. Slots are `Vec<Tuple>`s recycled through
 /// a free list: [`BatchPool::release`] clears a slot but keeps its
@@ -129,7 +183,7 @@ struct WorkBatch {
     len: usize,
 }
 
-/// Join window entry (mirrors the reference engine's).
+/// Join window entry: the time the tuple entered its window.
 #[derive(Clone, Copy, Debug)]
 struct WindowEntry {
     time: f64,
@@ -143,8 +197,6 @@ struct JoinState {
 /// Input buffered for an operator mid-migration.
 #[derive(Debug)]
 struct MigrationBuffer {
-    #[allow(dead_code)] // recorded at start; the completion event re-carries it
-    dest: NodeId,
     batches: Vec<WorkBatch>,
     /// Total tuples across `batches`.
     tuples: usize,
@@ -209,9 +261,12 @@ struct BatchedRuntime<'a, S: TraceSink> {
     queue: EventQueue,
     rng: Rng,
     pool: BatchPool,
-    /// Deliver per-tuple (batch size 1): reproduces the reference
-    /// engine's event order byte-for-byte even for multi-consumer
-    /// fan-out of multi-tuple emissions.
+    /// Arrival times per system input, in graph input order; source
+    /// batches are index ranges into these.
+    arrivals: Vec<Vec<f64>>,
+    /// Strict mode (batch size 1): emissions are delivered per tuple and
+    /// per consumer, in emission order, even for multi-consumer fan-out
+    /// of multi-tuple emissions.
     strict: bool,
     queued_total: usize,
     peak_queue: usize,
@@ -219,8 +274,15 @@ struct BatchedRuntime<'a, S: TraceSink> {
     migrations: u64,
     migration_downtime: f64,
     timeline: Vec<TimelineSample>,
-    input_index: Vec<Option<usize>>,
+    /// Source arrivals per input stream since the last sample tick.
     window_arrivals: Vec<u64>,
+    tuples_out: u64,
+    /// Post-warmup end-to-end latency sample (a seeded reservoir).
+    latencies: Vec<f64>,
+    /// Post-warmup sink tuples seen, for reservoir thinning.
+    latency_seen: u64,
+    max_latency_samples: usize,
+    latency_rng: Rng,
     chaos: Option<MigrationChaos>,
     chaos_rng: Rng,
     mig_attempts: Vec<u32>,
@@ -231,8 +293,7 @@ struct BatchedRuntime<'a, S: TraceSink> {
 
 impl<S: TraceSink> BatchedRuntime<'_, S> {
     /// Counts `count` shed tuples at one operator, with recovery-window
-    /// attribution and one trace record per tuple (as the reference
-    /// engine emits).
+    /// attribution and one trace record per tuple.
     fn shed_many(&mut self, op: OperatorId, now: f64, count: usize) {
         if count == 0 {
             return;
@@ -253,10 +314,85 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
     }
 
+    /// Handles a source batch: its tuples take a pool slot and fan out
+    /// to every consumer of the input stream (clones for all but the
+    /// last, which takes the original slot). Sources are external, so
+    /// delivery is local; an input nothing consumes is a sink.
+    fn source_batch(&mut self, input: usize, first: usize, len: usize, now: f64) {
+        let stream = self.graph.inputs()[input];
+        let batch = self.pool.alloc();
+        let times = &self.arrivals[input][first..first + len];
+        self.pool
+            .slot_mut(batch)
+            .extend(times.iter().map(|&birth| Tuple { birth }));
+        let ncons = self.consumers[stream.index()].len();
+        if ncons == 0 {
+            self.depart(stream, batch, now);
+            return;
+        }
+        self.window_arrivals[input] += len as u64;
+        if self.sink.enabled() {
+            for &time in times {
+                self.sink.record(&TraceRecord::SourceArrival {
+                    time,
+                    stream: stream.index(),
+                });
+            }
+        }
+        for ci in 0..ncons {
+            let (op, port) = self.consumers[stream.index()][ci];
+            let delivered = if ci + 1 == ncons {
+                batch
+            } else {
+                let copy = self.pool.alloc();
+                let (src, dst) = self.pool.two(batch, copy);
+                dst.extend_from_slice(src);
+                copy
+            };
+            self.enqueue_batch(
+                WorkBatch {
+                    op,
+                    port,
+                    batch: delivered,
+                    recv_overhead: 0.0,
+                    len,
+                },
+                now,
+            );
+        }
+    }
+
+    /// Handles a batch leaving on a sink stream: count each tuple, trace
+    /// its departure, and sample its end-to-end latency after warmup.
+    fn depart(&mut self, stream: StreamId, batch: BatchId, now: f64) {
+        for ti in 0..self.pool.slot(batch).len() {
+            let latency = now - self.pool.slot(batch)[ti].birth;
+            self.tuples_out += 1;
+            if self.sink.enabled() {
+                self.sink.record(&TraceRecord::SinkDeparture {
+                    time: now,
+                    stream: stream.index(),
+                    latency,
+                });
+            }
+            if now >= self.warmup {
+                self.latency_seen += 1;
+                record_latency(
+                    &mut self.latencies,
+                    &mut self.latency_rng,
+                    self.latency_seen,
+                    self.max_latency_samples,
+                    latency,
+                );
+            }
+        }
+        self.pool.release(batch);
+    }
+
     /// Routes a work batch to its operator's node queue or migration
     /// buffer, shedding the suffix that exceeds the per-operator bound
-    /// or the node shedding threshold (the batch analogue of the
-    /// reference's per-tuple accept-until-full behaviour).
+    /// or the node shedding threshold (accept-until-full, tuple by
+    /// tuple).
     fn enqueue_batch(&mut self, mut wb: WorkBatch, now: f64) {
         let op = wb.op.index();
         // Per-operator bound: accept the prefix that fits.
@@ -431,16 +567,10 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
     }
 
     /// Linear / variable-selectivity service: constant per-tuple cost,
-    /// one Bernoulli emission draw per tuple (in batch order, matching
-    /// the reference's per-dispatch draw sequence).
+    /// one Bernoulli emission trial per tuple, in batch order.
     fn emit_linear(&mut self, wb: WorkBatch, cost: f64, selectivity: f64, out: BatchId) -> f64 {
         let (input, out_vec) = self.pool.two(wb.batch, out);
-        for tuple in input {
-            let emit = bernoulli_emissions(selectivity, &mut self.rng);
-            for _ in 0..emit {
-                out_vec.push(Tuple { birth: tuple.birth });
-            }
-        }
+        emit_copies(input, selectivity, 1, &mut self.rng, out_vec);
         cost * wb.len as f64
     }
 
@@ -467,14 +597,9 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
         let pairs = state.windows[other].len();
         let (input, out_vec) = self.pool.two(wb.batch, out);
-        for tuple in input {
+        emit_copies(input, selectivity_per_pair, pairs, &mut self.rng, out_vec);
+        for _ in 0..wb.len {
             state.windows[wb.port].push_back(WindowEntry { time: now });
-            for _ in 0..pairs {
-                let emit = bernoulli_emissions(selectivity_per_pair, &mut self.rng);
-                for _ in 0..emit {
-                    out_vec.push(Tuple { birth: tuple.birth });
-                }
-            }
         }
         (wb.len * pairs) as f64 * cost_per_pair
     }
@@ -487,9 +612,9 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         self.nodes[node_idx].serving_len = 0;
         if let Some((stream, out)) = self.nodes[node_idx].pending.take() {
             if self.consumers[stream.index()].is_empty() {
-                // Sink: latency bookkeeping happens in the main loop.
+                // Sink: `depart` records the tuples when the event pops.
                 self.queue
-                    .push(now, EventKind::BatchArrival { stream, batch: out });
+                    .push(now, EventKind::SinkBatch { stream, batch: out });
             } else if self.strict {
                 self.deliver_per_tuple(stream, out, node, now);
             } else {
@@ -536,14 +661,16 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
     }
 
-    /// Strict (batch size 1) delivery: per emitted tuple, per consumer —
-    /// the exact event order of the reference engine, which interleaves
-    /// consumers within each emission.
+    /// Strict (batch size 1) delivery: per emitted tuple, per consumer,
+    /// consumers interleaved within each emission. The last delivery
+    /// reuses the output slot, so the common one-tuple, one-consumer
+    /// emission moves without touching the free list.
     fn deliver_per_tuple(&mut self, stream: StreamId, out: BatchId, node: NodeId, now: f64) {
         let out_len = self.pool.slot(out).len();
+        let ncons = self.consumers[stream.index()].len();
         for ti in 0..out_len {
             let tuple = self.pool.slot(out)[ti];
-            for ci in 0..self.consumers[stream.index()].len() {
+            for ci in 0..ncons {
                 let (op, port) = self.consumers[stream.index()][ci];
                 let remote = self.host[op.index()] != node;
                 let delay = if remote { self.network.latency } else { 0.0 };
@@ -552,8 +679,16 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
                 } else {
                     0.0
                 };
-                let single = self.pool.alloc();
-                self.pool.slot_mut(single).push(tuple);
+                let single = if ti + 1 == out_len && ci + 1 == ncons {
+                    let slot = self.pool.slot_mut(out);
+                    slot.clear();
+                    slot.push(tuple);
+                    out
+                } else {
+                    let single = self.pool.alloc();
+                    self.pool.slot_mut(single).push(tuple);
+                    single
+                };
                 self.queue.push(
                     now + delay,
                     EventKind::BatchConsumerArrival {
@@ -565,11 +700,11 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
                 );
             }
         }
-        self.pool.release(out);
     }
 
-    /// The dynamic load manager's control tick (identical to the
-    /// reference: decisions depend only on busy-time windows).
+    /// The dynamic load manager's control tick: sample window
+    /// utilisations, possibly start one migration, reset the window.
+    /// Decisions depend only on busy-time windows.
     fn control_tick(&mut self, now: f64, config: &MigrationConfig) {
         let n = self.nodes.len();
         let utils: Vec<f64> = (0..n)
@@ -588,6 +723,9 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
             && !self.down[hot]
             && !self.down[cold]
         {
+            // Pick the operator on the hot node whose recent busy time is
+            // closest to half the gap (move enough, not too much), among
+            // operators not already migrating.
             let target = (utils[hot] - utils[cold]) / 2.0 * config.check_interval;
             let candidate = (0..self.graph.num_operators())
                 .filter(|&j| {
@@ -613,8 +751,10 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
     }
 
     /// Freezes an operator, buffers its queued batches, and schedules
-    /// resumption after the transfer downtime. The per-item downtime
-    /// term counts buffered *tuples*, as the reference does.
+    /// resumption on `dest` after the transfer downtime. The per-item
+    /// downtime term counts buffered *tuples*. `failover = true` marks a
+    /// table-driven recovery move (counted separately from the load
+    /// manager's migrations).
     fn start_migration(
         &mut self,
         op: OperatorId,
@@ -647,11 +787,7 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
                 failover,
             });
         }
-        self.migrating[op.index()] = Some(MigrationBuffer {
-            dest,
-            batches,
-            tuples,
-        });
+        self.migrating[op.index()] = Some(MigrationBuffer { batches, tuples });
         if failover {
             self.failovers += 1;
             self.failover_in_flight += 1;
@@ -664,8 +800,9 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
             .push(now + downtime, EventKind::MigrationComplete { op, dest });
     }
 
-    /// Finishes a migration: rebind the host, replay the buffer, and
-    /// advance recovery bookkeeping for failover moves.
+    /// Finishes a migration: rebind the host, replay the buffer. A
+    /// failover move also advances its node's recovery bookkeeping,
+    /// closing the [`RecoveryRecord`] when the last orphan lands.
     fn finish_migration(&mut self, op: OperatorId, dest: NodeId, now: f64) {
         let buffer = self.migrating[op.index()]
             .take()
@@ -712,7 +849,9 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
     }
 
-    /// Rolls back a chaos-failed migration to its origin node.
+    /// Rolls back a chaos-failed migration: the operator stays on its
+    /// origin host, which re-absorbs the buffered input, and the
+    /// abandoned transfer is counted and traced.
     fn abort_migration(&mut self, op: OperatorId, dest: NodeId, now: f64, attempts: u32) {
         let buffer = self.migrating[op.index()]
             .take()
@@ -738,12 +877,14 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
         }
     }
 
-    /// Handles a detected node failure: table-driven failover of every
-    /// operator still hosted on the dead node (identical logic to the
-    /// reference engine).
+    /// Handles a detected node failure: move every operator still hosted
+    /// on the dead node to its table-designated backup (falling back to
+    /// the lowest-indexed live node when the table has no entry or the
+    /// backup is itself down). A no-op if the outage already ended.
     fn detect_failure(&mut self, node: NodeId, now: f64, fo: &FailoverConfig) {
         let idx = node.index();
         if !self.down[idx] {
+            // The node came back before the monitor noticed; no failover.
             self.recovering[idx] = None;
             return;
         }
@@ -776,6 +917,8 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
             state.pending = moved;
             state.moved = moved;
             if moved == 0 {
+                // Nothing hosted here (or nowhere to go): recovery is
+                // instantaneous and trivially complete.
                 let state = self.recovering[idx].take().expect("state present");
                 if self.sink.enabled() {
                     self.sink.record(&TraceRecord::RecoveryComplete {
@@ -795,13 +938,139 @@ impl<S: TraceSink> BatchedRuntime<'_, S> {
             }
         }
     }
+
+    /// Takes a timeline snapshot: per-node utilisation and per-input
+    /// arrival rate over the last `interval`, then resets both windows.
+    fn sample_tick(&mut self, now: f64, interval: f64) {
+        let utilisations: Vec<f64> = self
+            .nodes
+            .iter_mut()
+            .map(|s| {
+                let u = (s.sample_busy / interval).min(1.0);
+                s.sample_busy = 0.0;
+                u
+            })
+            .collect();
+        let rates: Vec<f64> = self
+            .window_arrivals
+            .iter_mut()
+            .map(|count| {
+                let rate = *count as f64 / interval;
+                *count = 0;
+                rate
+            })
+            .collect();
+        if self.sink.enabled() {
+            let record = TraceRecord::util_sample(
+                now,
+                utilisations.clone(),
+                self.nodes.iter().map(|s| s.tuples).collect(),
+                self.queued_total,
+                rates,
+            )
+            .expect("engine sample values are finite and non-negative");
+            self.sink.record(&record);
+        }
+        self.timeline.push(TimelineSample {
+            time: now,
+            utilisations,
+            queued: self.queued_total,
+            migrations: self.migrations,
+        });
+    }
+
+    /// Handles a completing transfer. Under chaos injection a
+    /// load-manager transfer may fail, retry after exponential backoff,
+    /// and finally roll back. Failover moves are exempt (their origin
+    /// node is dead), and the failure draw comes from a dedicated RNG
+    /// stream so chaos-off runs never perturb the simulation's draws.
+    fn migration_complete(&mut self, op: OperatorId, dest: NodeId, now: f64) {
+        let inject = self.chaos.clone().filter(|_| {
+            self.migrating[op.index()].is_some() && self.orphan_src[op.index()].is_none()
+        });
+        match inject {
+            Some(chaos) if self.chaos_rng.gen::<f64>() < chaos.failure_prob => {
+                let attempt = self.mig_attempts[op.index()] + 1;
+                if attempt <= chaos.max_retries {
+                    self.mig_attempts[op.index()] = attempt;
+                    self.migration_retries += 1;
+                    let backoff = chaos.backoff(attempt);
+                    if self.sink.enabled() {
+                        self.sink.record(&TraceRecord::MigrationRetry {
+                            time: now,
+                            op: op.index(),
+                            dest: dest.index(),
+                            attempt,
+                            backoff,
+                        });
+                    }
+                    self.queue
+                        .push(now + backoff, EventKind::MigrationComplete { op, dest });
+                } else {
+                    self.abort_migration(op, dest, now, attempt);
+                }
+            }
+            _ => {
+                self.mig_attempts[op.index()] = 0;
+                self.finish_migration(op, dest, now);
+            }
+        }
+    }
+
+    /// Fails a node: an in-flight service completes, but nothing new is
+    /// dispatched until the outage ends. With failover configured, the
+    /// monitor notices after the detection delay.
+    fn outage_start(&mut self, node: NodeId, now: f64, failover: Option<&FailoverConfig>) {
+        self.down[node.index()] = true;
+        self.down_count += 1;
+        if self.sink.enabled() {
+            self.sink.record(&TraceRecord::OutageStart {
+                time: now,
+                node: node.index(),
+            });
+        }
+        if self.pf_start.is_none() {
+            self.pf_start = Some(now);
+        }
+        if let Some(fo) = failover {
+            if self.recovering[node.index()].is_none() {
+                self.recovering[node.index()] = Some(RecoveryState {
+                    outage_start: now,
+                    detected_at: 0.0,
+                    pending: 0,
+                    moved: 0,
+                });
+                self.queue.push(
+                    now + fo.detection_delay,
+                    EventKind::FailureDetected { node },
+                );
+            }
+        }
+    }
+
+    /// Ends an outage: the node resumes draining its queue.
+    fn outage_end(&mut self, node: NodeId, now: f64) {
+        let idx = node.index();
+        self.down[idx] = false;
+        self.down_count -= 1;
+        if self.sink.enabled() {
+            self.sink.record(&TraceRecord::OutageEnd {
+                time: now,
+                node: idx,
+            });
+        }
+        if !self.nodes[idx].busy && !self.nodes[idx].queue.is_empty() {
+            self.dispatch(idx, now);
+        }
+    }
 }
 
-/// Runs `sim` on the batched engine. Called from
-/// [`Simulation::run_with_sink`] when [`BatchConfig`] is set.
-pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mut S) -> SimReport {
+/// Runs `sim` on the event loop, in strict mode unless
+/// [`SimulationConfig::batch`](crate::engine::SimulationConfig::batch)
+/// is set. Called from [`Simulation::run_with_sink`].
+pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, sink: &mut S) -> SimReport {
+    let bc = sim.config.batch.unwrap_or(STRICT);
     let mut rng = seeded_rng(sim.config.seed);
-    let mut latency_rng = seeded_rng(sim.config.seed ^ LATENCY_STREAM_TAG);
     let graph = sim.graph;
     let horizon = sim.config.horizon;
     let warmup = sim.config.warmup;
@@ -809,38 +1078,41 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
     let n = sim.cluster.num_nodes();
 
     let mut queue = EventQueue::new();
-    let mut pool = BatchPool::new();
-    let mut tuples_in = 0u64;
-    // Batch source arrivals: consecutive tuples of one stream share a
-    // batch while they fit the size cap and the same time bucket. The
-    // batch fires at its *last* tuple's arrival time, so every tuple has
-    // nominally arrived when the event pops (deferral ≤ bucket).
-    for (k, spec) in sim.sources.iter().enumerate() {
-        let stream = graph.inputs()[k];
+    let mut arrivals = Vec::with_capacity(sim.sources.len());
+    // Frame source arrivals into batches: consecutive tuples of one
+    // stream share a batch while they fit the size cap and the same time
+    // bucket. The batch fires at its *last* tuple's arrival time, so
+    // every tuple has nominally arrived when the event pops (deferral ≤
+    // bucket).
+    for (input, spec) in sim.sources.iter().enumerate() {
         let times = spec.arrivals(horizon, &mut rng);
-        tuples_in += times.len() as u64;
-        let mut i = 0;
-        while i < times.len() {
-            let bucket = (times[i] / bc.bucket).floor();
-            let id = pool.alloc();
-            let slot = pool.slot_mut(id);
-            while i < times.len()
-                && slot.len() < bc.max_batch
-                && (times[i] / bc.bucket).floor() == bucket
+        let mut first = 0;
+        while first < times.len() {
+            let bucket = (times[first] / bc.bucket).floor();
+            let mut end = first + 1;
+            while end < times.len()
+                && end - first < bc.max_batch
+                && (times[end] / bc.bucket).floor() == bucket
             {
-                slot.push(Tuple { birth: times[i] });
-                i += 1;
+                end += 1;
             }
-            let fire = slot.last().expect("non-empty batch").birth;
-            queue.push(fire, EventKind::BatchArrival { stream, batch: id });
+            let len = end - first;
+            queue.push(times[end - 1], EventKind::SourceBatch { input, first, len });
+            first = end;
         }
+        arrivals.push(times);
     }
+    let tuples_in = arrivals.iter().map(|t| t.len() as u64).sum();
     if let Some(mig) = &sim.config.migration {
         queue.push(mig.check_interval, EventKind::ControlTick);
     }
     if let Some(interval) = sim.config.sample_interval {
         queue.push(interval, EventKind::SampleTick);
     }
+    // Push outage transitions in canonical order — by time, ends before
+    // starts at equal times — so back-to-back outages on one node (end
+    // at t, next start at t) never overlap in the down/down_count
+    // bookkeeping regardless of config order.
     let mut outage_events: Vec<(f64, bool, NodeId)> = Vec::new();
     for outage in &sim.config.outages {
         outage_events.push((outage.start, true, outage.node));
@@ -907,7 +1179,8 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         op_served: vec![0; m],
         queue,
         rng,
-        pool,
+        pool: BatchPool::new(),
+        arrivals,
         strict: bc.max_batch == 1,
         queued_total: 0,
         peak_queue: 0,
@@ -915,20 +1188,18 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         migrations: 0,
         migration_downtime: 0.0,
         timeline: Vec::new(),
-        input_index: {
-            let mut idx = vec![None; graph.num_streams()];
-            for (k, stream) in graph.inputs().iter().enumerate() {
-                idx[stream.index()] = Some(k);
-            }
-            idx
-        },
         window_arrivals: vec![0; graph.num_inputs()],
+        tuples_out: 0,
+        latencies: Vec::new(),
+        latency_seen: 0,
+        max_latency_samples: sim.config.max_latency_samples,
+        latency_rng: seeded_rng(sim.config.seed ^ LATENCY_STREAM_TAG),
         chaos: sim.config.migration_chaos.clone(),
         chaos_rng: seeded_rng(
             sim.config
                 .migration_chaos
                 .as_ref()
-                .map_or(0, |c| c.seed ^ 0x0063_6861_6f73), // same "chaos" stream
+                .map_or(0, |c| c.seed ^ 0x0063_6861_6f73), // "chaos"-tagged stream
         ),
         mig_attempts: vec![0; m],
         migration_retries: 0,
@@ -946,9 +1217,6 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         });
     }
 
-    let mut tuples_out = 0u64;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut latency_seen = 0u64;
     let mut saturated = false;
     let mut end_time = horizon;
 
@@ -957,73 +1225,11 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
             break;
         }
         match event.kind {
-            EventKind::BatchArrival { stream, batch } => {
-                if rt.consumers[stream.index()].is_empty() {
-                    // Sink batch: record each tuple's departure.
-                    for ti in 0..rt.pool.slot(batch).len() {
-                        let tuple = rt.pool.slot(batch)[ti];
-                        tuples_out += 1;
-                        if rt.sink.enabled() {
-                            rt.sink.record(&TraceRecord::SinkDeparture {
-                                time: event.time,
-                                stream: stream.index(),
-                                latency: event.time - tuple.birth,
-                            });
-                        }
-                        if event.time >= warmup {
-                            latency_seen += 1;
-                            record_latency(
-                                &mut latencies,
-                                &mut latency_rng,
-                                latency_seen,
-                                sim.config.max_latency_samples,
-                                event.time - tuple.birth,
-                            );
-                        }
-                    }
-                    rt.pool.release(batch);
-                    continue;
-                }
-                // Source batch: fan out to every consumer (clones for
-                // all but the last, which takes the original slot).
-                let len = rt.pool.slot(batch).len();
-                if let Some(k) = rt.input_index[stream.index()] {
-                    rt.window_arrivals[k] += len as u64;
-                }
-                if rt.sink.enabled() {
-                    for ti in 0..len {
-                        let birth = rt.pool.slot(batch)[ti].birth;
-                        rt.sink.record(&TraceRecord::SourceArrival {
-                            time: birth,
-                            stream: stream.index(),
-                        });
-                    }
-                }
-                let ncons = rt.consumers[stream.index()].len();
-                for ci in 0..ncons {
-                    let (op, port) = rt.consumers[stream.index()][ci];
-                    let delivered = if ci + 1 == ncons {
-                        batch
-                    } else {
-                        let copy = rt.pool.alloc();
-                        let (src, dst) = rt.pool.two(batch, copy);
-                        dst.extend_from_slice(src);
-                        copy
-                    };
-                    rt.enqueue_batch(
-                        WorkBatch {
-                            op,
-                            port,
-                            batch: delivered,
-                            recv_overhead: 0.0,
-                            len,
-                        },
-                        event.time,
-                    );
-                }
-                if ncons == 0 {
-                    rt.pool.release(batch);
-                }
+            EventKind::SourceBatch { input, first, len } => {
+                rt.source_batch(input, first, len, event.time);
+            }
+            EventKind::SinkBatch { stream, batch } => {
+                rt.depart(stream, batch, event.time);
             }
             EventKind::BatchConsumerArrival {
                 op,
@@ -1043,9 +1249,6 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
                     event.time,
                 );
             }
-            EventKind::StreamArrival { .. } | EventKind::ConsumerArrival { .. } => {
-                unreachable!("per-tuple events are only scheduled by the reference engine")
-            }
             EventKind::ServiceComplete { node } => {
                 rt.complete(node, event.time);
             }
@@ -1053,9 +1256,9 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
                 let mig = sim
                     .config
                     .migration
-                    .clone()
+                    .as_ref()
                     .expect("ControlTick only scheduled with migration enabled");
-                rt.control_tick(event.time, &mig);
+                rt.control_tick(event.time, mig);
                 if event.time + mig.check_interval < horizon {
                     rt.queue
                         .push(event.time + mig.check_interval, EventKind::ControlTick);
@@ -1066,105 +1269,16 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
                     .config
                     .sample_interval
                     .expect("SampleTick only scheduled with sampling enabled");
-                let utilisations: Vec<f64> = rt
-                    .nodes
-                    .iter_mut()
-                    .map(|s| {
-                        let u = (s.sample_busy / interval).min(1.0);
-                        s.sample_busy = 0.0;
-                        u
-                    })
-                    .collect();
-                let rates: Vec<f64> = rt
-                    .window_arrivals
-                    .iter_mut()
-                    .map(|count| {
-                        let rate = *count as f64 / interval;
-                        *count = 0;
-                        rate
-                    })
-                    .collect();
-                if rt.sink.enabled() {
-                    let record = TraceRecord::util_sample(
-                        event.time,
-                        utilisations.clone(),
-                        rt.nodes.iter().map(|s| s.tuples).collect(),
-                        rt.queued_total,
-                        rates,
-                    )
-                    .expect("engine sample values are finite and non-negative");
-                    rt.sink.record(&record);
-                }
-                rt.timeline.push(TimelineSample {
-                    time: event.time,
-                    utilisations,
-                    queued: rt.queued_total,
-                    migrations: rt.migrations,
-                });
+                rt.sample_tick(event.time, interval);
                 if event.time + interval < horizon {
                     rt.queue.push(event.time + interval, EventKind::SampleTick);
                 }
             }
             EventKind::MigrationComplete { op, dest } => {
-                let inject = rt.chaos.clone().filter(|_| {
-                    rt.migrating[op.index()].is_some() && rt.orphan_src[op.index()].is_none()
-                });
-                match inject {
-                    Some(chaos) if rt.chaos_rng.gen::<f64>() < chaos.failure_prob => {
-                        let attempt = rt.mig_attempts[op.index()] + 1;
-                        if attempt <= chaos.max_retries {
-                            rt.mig_attempts[op.index()] = attempt;
-                            rt.migration_retries += 1;
-                            let backoff = chaos.backoff(attempt);
-                            if rt.sink.enabled() {
-                                rt.sink.record(&TraceRecord::MigrationRetry {
-                                    time: event.time,
-                                    op: op.index(),
-                                    dest: dest.index(),
-                                    attempt,
-                                    backoff,
-                                });
-                            }
-                            rt.queue.push(
-                                event.time + backoff,
-                                EventKind::MigrationComplete { op, dest },
-                            );
-                        } else {
-                            rt.abort_migration(op, dest, event.time, attempt);
-                        }
-                    }
-                    _ => {
-                        rt.mig_attempts[op.index()] = 0;
-                        rt.finish_migration(op, dest, event.time);
-                    }
-                }
+                rt.migration_complete(op, dest, event.time);
             }
             EventKind::OutageStart { node } => {
-                rt.down[node.index()] = true;
-                rt.down_count += 1;
-                if rt.sink.enabled() {
-                    rt.sink.record(&TraceRecord::OutageStart {
-                        time: event.time,
-                        node: node.index(),
-                    });
-                }
-                if rt.pf_start.is_none() {
-                    rt.pf_start = Some(event.time);
-                }
-                if let Some(fo) = &sim.config.failover {
-                    if rt.recovering[node.index()].is_none() {
-                        rt.recovering[node.index()] = Some(RecoveryState {
-                            outage_start: event.time,
-                            detected_at: 0.0,
-                            pending: 0,
-                            moved: 0,
-                        });
-                        rt.queue.push(
-                            event.time + fo.detection_delay,
-                            EventKind::FailureDetected { node },
-                        );
-                    }
-                }
+                rt.outage_start(node, event.time, sim.config.failover.as_ref());
             }
             EventKind::FailureDetected { node } => {
                 let fo = sim
@@ -1175,18 +1289,7 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
                 rt.detect_failure(node, event.time, fo);
             }
             EventKind::OutageEnd { node } => {
-                let idx = node.index();
-                rt.down[idx] = false;
-                rt.down_count -= 1;
-                if rt.sink.enabled() {
-                    rt.sink.record(&TraceRecord::OutageEnd {
-                        time: event.time,
-                        node: idx,
-                    });
-                }
-                if !rt.nodes[idx].busy && !rt.nodes[idx].queue.is_empty() {
-                    rt.dispatch(idx, event.time);
-                }
+                rt.outage_end(node, event.time);
             }
         }
         if rt.queued_total > sim.config.max_queue {
@@ -1200,7 +1303,7 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         rt.sink.record(&TraceRecord::RunEnd {
             time: end_time,
             tuples_in,
-            tuples_out,
+            tuples_out: rt.tuples_out,
             tuples_processed: rt.tuples_processed,
             tuples_shed: rt.tuples_shed,
             saturated,
@@ -1232,9 +1335,9 @@ pub(crate) fn run<S: TraceSink>(sim: &Simulation<'_>, bc: BatchConfig, sink: &mu
         measured_duration,
         utilisations,
         tuples_in,
-        tuples_out,
+        tuples_out: rt.tuples_out,
         tuples_processed: rt.tuples_processed,
-        latencies: Percentiles::from_samples(latencies),
+        latencies: Percentiles::from_samples(rt.latencies),
         peak_queue: rt.peak_queue,
         final_queue,
         saturated,
@@ -1262,6 +1365,37 @@ mod tests {
     use rod_core::allocation::Allocation;
     use rod_core::cluster::Cluster;
     use rod_core::graph::GraphBuilder;
+
+    #[test]
+    fn integral_selectivity_seeks_exactly_past_its_draws() {
+        // The seek in `emit_copies` must leave the stream where drawing
+        // the trials would have: same copies in the same order, same next
+        // draw — from a mid-block start, and past block boundaries.
+        let tuples: Vec<Tuple> = [0.5, 1.5, 2.5].map(|birth| Tuple { birth }).to_vec();
+        for s in [0.0f64, 1.0, 2.0, 0.4, 1.7] {
+            for trials in [0usize, 1, 3, 9, 40] {
+                let mut drawn = seeded_rng(3);
+                let mut rng = seeded_rng(3);
+                assert_eq!(drawn.gen::<f64>(), rng.gen::<f64>());
+                let mut expected = Vec::new();
+                let (whole, frac) = (s.floor(), s - s.floor());
+                for &tuple in &tuples {
+                    for _ in 0..trials {
+                        let emit = whole as usize + usize::from(drawn.gen::<f64>() < frac);
+                        expected.extend(std::iter::repeat(tuple).take(emit));
+                    }
+                }
+                let mut out = Vec::new();
+                emit_copies(&tuples, s, trials, &mut rng, &mut out);
+                assert_eq!(out, expected, "s {s}, trials {trials}");
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    drawn.gen::<u64>(),
+                    "s {s}, trials {trials}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn pool_reuses_released_slots() {
@@ -1311,6 +1445,9 @@ mod tests {
 
     #[test]
     fn batch_size_one_is_byte_identical_to_reference() {
+        // Strict mode, spelled as the default and as an explicit batch
+        // size of 1, against the report of the per-tuple reference
+        // engine it replaced: (byte length, FNV-1a-64 digest).
         let graph = chain();
         let cluster = Cluster::homogeneous(1, 1.0);
         let mut alloc = Allocation::new(2, 1);
@@ -1333,13 +1470,23 @@ mod tests {
             )
             .run()
         };
-        let reference = serde_json::to_string(&run(None)).unwrap();
-        let batched = serde_json::to_string(&run(Some(BatchConfig {
-            max_batch: 1,
-            bucket: 0.5,
-        })))
-        .unwrap();
-        assert_eq!(reference, batched);
+        for batch in [
+            None,
+            Some(BatchConfig {
+                max_batch: 1,
+                bucket: 0.5,
+            }),
+        ] {
+            let json = serde_json::to_vec(&run(batch)).unwrap();
+            let fnv = json.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(
+                (json.len(), fnv),
+                (41509, 0xaad7fc7d0171aaf9),
+                "batch {batch:?}"
+            );
+        }
     }
 
     #[test]

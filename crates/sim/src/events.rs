@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use rod_core::ids::{NodeId, OperatorId, StreamId};
 
-/// A work item travelling through the dataflow: one tuple on one stream.
+/// One tuple travelling through the dataflow.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Tuple {
     /// Time the tuple's ancestor entered the system at a source — carried
@@ -29,41 +29,29 @@ impl BatchId {
 /// Simulator events.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
-    /// A tuple becomes available on a stream — used for source arrivals
-    /// (fanned out to consumers on processing) and for sink emissions
-    /// (where the latency is recorded).
-    StreamArrival {
-        /// The stream the tuple appears on.
-        stream: StreamId,
-        /// The tuple itself.
-        tuple: Tuple,
+    /// A batch of source arrivals on one system input: the `len`
+    /// consecutive arrival times of input `input` starting at index
+    /// `first`, firing at the last one's time. Its tuples enter the
+    /// batch pool only when the event pops.
+    SourceBatch {
+        /// Position of the input stream in the graph's input list.
+        input: usize,
+        /// Index of the batch's first arrival within that input.
+        first: usize,
+        /// Number of arrivals in the batch (1 in strict mode).
+        len: usize,
     },
-    /// A tuple delivered to one specific consumer port, possibly after a
-    /// network hop (then `recv_overhead` carries the receiving node's CPU
-    /// charge).
-    ConsumerArrival {
-        /// The consuming operator.
-        op: OperatorId,
-        /// Which of its input ports receives the tuple.
-        port: usize,
-        /// The tuple itself.
-        tuple: Tuple,
-        /// CPU charged to the receiving node (network hop overhead).
-        recv_overhead: f64,
-    },
-    /// A pooled batch of tuples becomes available on a stream — the
-    /// batched engine's analogue of [`EventKind::StreamArrival`], used
-    /// for source arrivals and sink emissions. Never scheduled by the
-    /// per-tuple reference engine.
-    BatchArrival {
-        /// The stream the batch appears on.
+    /// A pooled batch of tuples leaves the query network on a sink
+    /// stream, where end-to-end latency is recorded.
+    SinkBatch {
+        /// The sink stream the batch appears on.
         stream: StreamId,
         /// Pool handle of the batch.
         batch: BatchId,
     },
     /// A pooled batch delivered to one specific consumer port, possibly
-    /// after a network hop — the batched engine's analogue of
-    /// [`EventKind::ConsumerArrival`].
+    /// after a network hop (then `recv_overhead` carries the receiving
+    /// node's CPU charge).
     BatchConsumerArrival {
         /// The consuming operator.
         op: OperatorId,
@@ -149,9 +137,19 @@ impl PartialOrd for Event {
 /// pure function of its inputs. [`pop`](EventQueue::pop) enforces this
 /// with an always-on assertion: any non-monotone pop (which would make
 /// seed-identical reruns diverge) is a bug, not a condition to tolerate.
+///
+/// Events pushed before the first pop — a run's initial schedule, which
+/// source arrivals dominate — are sorted once and drained in order, so
+/// the heap only holds events scheduled while the run is under way. The
+/// pop order is exactly that of a single heap over all events.
 #[derive(Debug, Default)]
 pub struct EventQueue {
+    /// Events pushed after the first pop.
     heap: BinaryHeap<Event>,
+    /// Events pushed before the first pop; sorted on the first pop with
+    /// the earliest last, then drained from the end.
+    initial: Vec<Event>,
+    started: bool,
     next_seq: u64,
     /// `(time, seq)` of the last popped event, for the FIFO assertion.
     last_popped: Option<(f64, u64)>,
@@ -168,13 +166,33 @@ impl EventQueue {
         debug_assert!(time.is_finite() && time >= 0.0, "bad event time {time}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
+        let event = Event { time, seq, kind };
+        if self.started {
+            self.heap.push(event);
+        } else {
+            self.initial.push(event);
+        }
     }
 
     /// Pops the earliest event, asserting deterministic order: times
     /// never go backwards, and equal-time events come out in push order.
     pub fn pop(&mut self) -> Option<Event> {
-        let event = self.heap.pop()?;
+        if !self.started {
+            self.started = true;
+            // `Event` orders earlier as greater: ascending puts the
+            // earliest event last. Per-source arrivals are already in
+            // order, which the stable sort's run detection exploits.
+            self.initial.sort();
+        }
+        let from_initial = match (self.initial.last(), self.heap.peek()) {
+            (Some(a), Some(b)) => a > b,
+            (a, _) => a.is_some(),
+        };
+        let event = if from_initial {
+            self.initial.pop()
+        } else {
+            self.heap.pop()
+        }?;
         if let Some((t, s)) = self.last_popped {
             assert!(
                 event.time > t || (event.time == t && event.seq > s),
@@ -189,12 +207,12 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.initial.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -216,21 +234,15 @@ mod tests {
     fn simultaneous_events_fifo() {
         let mut q = EventQueue::new();
         for i in 0..5 {
-            q.push(
-                1.0,
-                EventKind::StreamArrival {
-                    stream: StreamId(i),
-                    tuple: Tuple { birth: 0.0 },
-                },
-            );
+            q.push(1.0, EventKind::ServiceComplete { node: NodeId(i) });
         }
-        let streams: Vec<usize> = std::iter::from_fn(|| q.pop())
+        let nodes: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::StreamArrival { stream, .. } => stream.index(),
+                EventKind::ServiceComplete { node } => node.index(),
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(streams, vec![0, 1, 2, 3, 4]);
+        assert_eq!(nodes, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -251,6 +263,27 @@ mod tests {
         // assertion; drain expecting the panic.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.pop()));
         assert!(result.is_err(), "time went backwards without assertion");
+    }
+
+    #[test]
+    fn initial_schedule_merges_with_later_pushes_in_push_order() {
+        // Events pushed before the first pop are sorted once and merged
+        // with later pushes; ties across the two still pop in push order.
+        let mut q = EventQueue::new();
+        for (i, t) in [3.0, 1.0, 2.0, 1.0, 5.0, 2.0].into_iter().enumerate() {
+            q.push(t, EventKind::ServiceComplete { node: NodeId(i) });
+        }
+        let node = |e: Event| match e.kind {
+            EventKind::ServiceComplete { node } => node.index(),
+            _ => unreachable!(),
+        };
+        assert_eq!(node(q.pop().unwrap()), 1);
+        q.push(1.0, EventKind::ServiceComplete { node: NodeId(10) });
+        q.push(2.0, EventKind::ServiceComplete { node: NodeId(11) });
+        q.push(4.0, EventKind::ServiceComplete { node: NodeId(12) });
+        assert_eq!(q.len(), 8);
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(node).collect();
+        assert_eq!(order, vec![3, 10, 2, 5, 11, 0, 12, 4]);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!
 //! * [`engine::Simulation`] — the raw event-driven engine with full
 //!   reports ([`report::SimReport`]: utilisations, end-to-end latency
-//!   percentiles, queue peaks);
+//!   percentiles, queue peaks). It has one event loop
+//!   ([`batched`]) with two delivery modes: strict tuple-by-tuple
+//!   delivery, the default, and batched delivery
+//!   ([`engine::BatchConfig`]) for production-volume traces;
 //! * [`probe::FeasibilityProbe`] — the paper's measurement procedure:
 //!   deem a rate point feasible iff no node saturates, and estimate
 //!   feasible-set ratios by probing points sampled inside the ideal

@@ -1,13 +1,18 @@
-//! Equivalence contract between the batched engine and the per-tuple
-//! reference engine (DESIGN.md §12):
+//! The engine's delivery-mode contract (DESIGN.md §12), held against
+//! golden pins:
 //!
-//! * **batch size 1** — byte-identical `SimReport`s (and byte-identical
-//!   JSONL traces), even with outages, failover, shedding, migration
-//!   chaos, joins, and multi-consumer fan-out of multi-tuple emissions;
-//! * **batch size > 1** — arrival-driven counts stay exact (tuples_in,
-//!   failovers, recovery records and detection times), conservation
-//!   holds, and timing-derived quantities (utilisation, latency
-//!   quantiles) agree within the batching tolerance.
+//! * **strict mode** (`batch: None`, or batch size 1 at any bucket) —
+//!   byte-identical `SimReport`s and JSONL traces to the pins recorded
+//!   from the per-tuple reference engine it replaced, even with outages,
+//!   failover, shedding, migration chaos, joins, and multi-consumer
+//!   fan-out of multi-tuple emissions;
+//! * **batch size > 1** — against the strict run of the same engine,
+//!   arrival-driven counts stay exact (tuples_in, failovers, recovery
+//!   records and detection times), conservation holds, and
+//!   timing-derived quantities (utilisation, latency quantiles) agree
+//!   within the batching tolerance.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -22,6 +27,8 @@ use rod_sim::{
     BatchConfig, FailoverConfig, JsonlSink, MigrationChaos, MigrationConfig, NetworkConfig, Outage,
     Simulation, SimulationConfig, SourceSpec,
 };
+
+use common::{assert_pins, Pin};
 
 /// A graph exercising every delivery shape the engines must agree on:
 /// fan-out of one input to two operators, a windowed join, selectivity
@@ -120,12 +127,14 @@ fn full_feature_config(
     }
 }
 
-fn run_full_feature(seed: u64, batch: Option<BatchConfig>) -> rod_sim::SimReport {
+/// The full-feature run on one seed: its `SimReport` JSON and its JSONL
+/// trace.
+fn full_feature_artefacts(seed: u64, batch: Option<BatchConfig>) -> (Vec<u8>, Vec<u8>) {
     let graph = full_feature_graph();
     let (cluster, alloc) = full_feature_alloc();
     let mut config = full_feature_config(&graph, &cluster, &alloc, seed);
     config.batch = batch;
-    Simulation::new(
+    let sim = Simulation::new(
         &graph,
         &alloc,
         &cluster,
@@ -134,23 +143,55 @@ fn run_full_feature(seed: u64, batch: Option<BatchConfig>) -> rod_sim::SimReport
             SourceSpec::ConstantRate(120.0),
         ],
         config,
-    )
-    .run()
+    );
+    let mut sink = JsonlSink::new(Vec::new());
+    let report = sim.run_with_sink(&mut sink);
+    (serde_json::to_vec(&report).unwrap(), sink.into_inner())
 }
+
+const FULL_FEATURE_SEEDS: [u64; 4] = [3, 13, 19, 71];
+
+/// Strict mode's two spellings: the default (`batch: None`) and an
+/// explicit batch size of 1, whose bucket width must not matter.
+const STRICT: [Option<BatchConfig>; 2] = [
+    None,
+    Some(BatchConfig {
+        max_batch: 1,
+        bucket: 0.25,
+    }),
+];
+
+/// `SimReport` JSON of the full-feature run per seed in
+/// [`FULL_FEATURE_SEEDS`], recorded from the per-tuple reference engine
+/// that strict mode replaced.
+const FULL_FEATURE_REPORT_PINS: &[Pin] = &[
+    Pin::new(493836, 0x83a0109ce809a2b4),
+    Pin::new(750915, 0x0d8f6a367c62983b),
+    Pin::new(794474, 0x9ea6ea731716bd97),
+    Pin::new(784326, 0xc856a92e7f3421b8),
+];
+
+/// JSONL trace of the full-feature run per seed in
+/// [`FULL_FEATURE_SEEDS`], recorded like [`FULL_FEATURE_REPORT_PINS`].
+const FULL_FEATURE_TRACE_PINS: &[Pin] = &[
+    Pin::new(6909600, 0x2f5acdd2d472d3bd),
+    Pin::new(7912947, 0xdb21219eaacb01f4),
+    Pin::new(7665172, 0x8a6c8993eff48164),
+    Pin::new(8069631, 0x96703d6c9655e0f9),
+];
 
 #[test]
 fn batch_size_one_full_feature_reports_are_byte_identical() {
-    for seed in [3u64, 19, 71] {
-        let reference = serde_json::to_string(&run_full_feature(seed, None)).unwrap();
-        let batched = serde_json::to_string(&run_full_feature(
-            seed,
-            Some(BatchConfig {
-                max_batch: 1,
-                bucket: 0.25,
-            }),
-        ))
-        .unwrap();
-        assert_eq!(reference, batched, "seed {seed} diverged at batch size 1");
+    for batch in STRICT {
+        let pins: Vec<Pin> = FULL_FEATURE_SEEDS
+            .iter()
+            .map(|&seed| Pin::of(&full_feature_artefacts(seed, batch).0))
+            .collect();
+        assert_pins(
+            &format!("full-feature reports, batch {batch:?}"),
+            &pins,
+            FULL_FEATURE_REPORT_PINS,
+        );
     }
 }
 
@@ -159,32 +200,17 @@ fn batch_size_one_jsonl_trace_matches_reference_byte_for_byte() {
     // The strongest pin: not just the final report but every trace record
     // (arrivals, sheds, migrations, recoveries, samples) in the same
     // order with the same payloads.
-    let graph = full_feature_graph();
-    let (cluster, alloc) = full_feature_alloc();
-    let run = |batch: Option<BatchConfig>| {
-        let mut config = full_feature_config(&graph, &cluster, &alloc, 13);
-        config.batch = batch;
-        let sim = Simulation::new(
-            &graph,
-            &alloc,
-            &cluster,
-            vec![
-                SourceSpec::ConstantRate(150.0),
-                SourceSpec::ConstantRate(120.0),
-            ],
-            config,
+    for batch in STRICT {
+        let pins: Vec<Pin> = FULL_FEATURE_SEEDS
+            .iter()
+            .map(|&seed| Pin::of(&full_feature_artefacts(seed, batch).1))
+            .collect();
+        assert_pins(
+            &format!("full-feature traces, batch {batch:?}"),
+            &pins,
+            FULL_FEATURE_TRACE_PINS,
         );
-        let mut sink = JsonlSink::new(Vec::new());
-        sim.run_with_sink(&mut sink);
-        sink.into_inner()
-    };
-    let reference = run(None);
-    let batched = run(Some(BatchConfig {
-        max_batch: 1,
-        bucket: 0.25,
-    }));
-    assert!(!reference.is_empty());
-    assert_eq!(reference, batched);
+    }
 }
 
 #[test]
@@ -231,7 +257,7 @@ fn batched_jsonl_trace_is_deterministic_across_reruns() {
 
 /// A unit-selectivity two-node chain with an outage + failover: counts
 /// are deterministic up to horizon-edge in-flight tuples, so large-batch
-/// runs can be compared field-by-field against the reference.
+/// runs can be compared field-by-field against the strict run.
 fn counting_fixture(rate: f64, seed: u64, batch: Option<BatchConfig>) -> rod_sim::SimReport {
     let mut b = GraphBuilder::new();
     let mut up = b.add_input();
@@ -272,6 +298,41 @@ fn counting_fixture(rate: f64, seed: u64, batch: Option<BatchConfig>) -> rod_sim
     .run()
 }
 
+/// The strict-mode grid pinned below: rates and seeds spanning the
+/// proptest's domain (rate in 100..350, seed in 0..40).
+const COUNTING_RATES: [f64; 4] = [100.0, 175.0, 250.0, 349.0];
+const COUNTING_SEEDS: [u64; 3] = [0, 13, 39];
+
+/// `SimReport` JSON of [`counting_fixture`] in strict mode, rate-major
+/// over [`COUNTING_RATES`] × [`COUNTING_SEEDS`], recorded from the
+/// per-tuple reference engine that strict mode replaced.
+const COUNTING_PINS: &[Pin] = &[
+    Pin::new(43043, 0xa800b606c8667415),
+    Pin::new(41378, 0x4463b185d999d96c),
+    Pin::new(40695, 0xf09c30d7fc7788a3),
+    Pin::new(70223, 0xf98a674cbaa23fd2),
+    Pin::new(71871, 0x163ffbc22a48a600),
+    Pin::new(70323, 0x4a4efc527f2318ff),
+    Pin::new(98004, 0x95f70f6f3b3ae8fe),
+    Pin::new(100242, 0x1327a5e6f9a0e057),
+    Pin::new(98696, 0xe417571b0691ebd1),
+    Pin::new(132348, 0x1e20665a1f2924b9),
+    Pin::new(137037, 0x1207c52411ec82c9),
+    Pin::new(136487, 0x11883e4c1d6412c8),
+];
+
+#[test]
+fn counting_fixture_strict_runs_match_golden_pins() {
+    let pins: Vec<Pin> = COUNTING_RATES
+        .iter()
+        .flat_map(|&rate| COUNTING_SEEDS.iter().map(move |&seed| (rate, seed)))
+        .map(|(rate, seed)| {
+            Pin::of(&serde_json::to_vec(&counting_fixture(rate, seed, None)).unwrap())
+        })
+        .collect();
+    assert_pins("counting fixture grid", &pins, COUNTING_PINS);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -283,6 +344,8 @@ proptest! {
     ) {
         let max_batch = [1usize, 7, 64, 4096][batch_exp];
         let bucket = 0.02;
+        // The strict run of the same engine is the reference (its
+        // bytes are pinned on a grid by the test above).
         let reference = counting_fixture(rate, seed, None);
         let batched = counting_fixture(
             rate,

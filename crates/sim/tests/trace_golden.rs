@@ -1,8 +1,9 @@
 //! Golden-file determinism tests for the trace layer: a fixed-seed run
-//! must emit a byte-identical JSONL trace every time, and attaching a
-//! sink must not change the simulation outcome at all (the report with a
-//! `NullSink` equals the report with a collecting sink, bit for bit
-//! through its JSON serialisation — the same bytes the harness persists).
+//! must emit the pinned, byte-identical JSONL trace every time, and
+//! attaching a sink must not change the simulation outcome at all (the
+//! report with a `NullSink` equals the report with a collecting sink,
+//! bit for bit through its JSON serialisation — the same bytes the
+//! harness persists).
 
 use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
@@ -15,6 +16,14 @@ use rod_sim::{
     FailoverConfig, JsonlSink, Outage, Simulation, SimulationConfig, SourceSpec, TraceRecord,
     TraceSink, VecSink,
 };
+
+mod common;
+
+use common::{assert_pins, Pin};
+
+/// The failover scenario's JSONL trace, recorded from the per-tuple
+/// reference engine that the strict (batch size 1) mode replaced.
+const FAILOVER_TRACE_PIN: Pin = Pin::new(177354, 0x96e0be14a8918eae);
 
 fn chain(k: usize) -> QueryGraph {
     let mut b = GraphBuilder::new();
@@ -80,6 +89,11 @@ fn jsonl_trace_is_byte_identical_across_reruns() {
     let b = run();
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must give a byte-identical trace");
+    assert_pins(
+        "failover scenario trace",
+        &[Pin::of(&a)],
+        &[FAILOVER_TRACE_PIN],
+    );
     // Every line is one valid TraceRecord; the stream is framed by
     // RunStart/RunEnd.
     let text = String::from_utf8(a).unwrap();
