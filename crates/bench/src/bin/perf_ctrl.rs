@@ -10,9 +10,12 @@
 //! `ControlLoop::replay` does); the fast path scans the same bytes with
 //! the zero-copy `LineScanner`, probes strict-form samples into a reused
 //! `SampleBatch`, and commits them through `ingest_batch`. The `loop_*`
-//! cell times the whole daemon — `ControlLoop::replay` vs
+//! cells time the whole daemon — `ControlLoop::replay` vs
 //! `ControlLoop::replay_batched` — so the headline ratio survives
-//! contact with drift detection and decision logging.
+//! contact with drift detection and decision logging: `loop_200k` on the
+//! paper's Figure 4 graph, `loop_m5k_n64` and `loop_m50k_n1000` on sparse
+//! graphs at the planner's scale, where every sample's headroom is read
+//! from the running plan's cached node-load rows.
 //!
 //! Every repetition cross-checks the paths: accepted/rejected counts,
 //! the final estimate (to the bit), and — on the loop cell — the full
@@ -23,7 +26,8 @@
 //! `docs/benchmarks.md`). Flags and gates are the shared ones of
 //! [`rod_bench::perf`]: `--quick`, `--out FILE`, and `--check FILE`,
 //! which fails on a >2× `ingest_speedup` regression or on a cell under
-//! its hard floor (the ≥5× acceptance bar on the 1M-samples/s cell).
+//! its hard floor (the ≥5× acceptance bar on the 1M-samples/s cell, and
+//! ≥5 000 samples/s through the whole loop at m = 50k, n = 1000).
 
 use std::io::BufRead;
 use std::time::Instant;
@@ -31,10 +35,15 @@ use std::time::Instant;
 use serde::Serialize;
 
 use rod_bench::perf::{self, median, Args, Provenance};
+use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
 use rod_core::examples_paper::figure4_graph;
+use rod_core::load_model::LoadModel;
+use rod_core::rod::RodPlanner;
+use rod_core::{PlanEvaluator, QueryGraph};
 use rod_ctrl::{ControlConfig, ControlLoop, SampleBatch, TelemetryConfig, TelemetryIngest};
 use rod_sim::replay::scan::{probe_util_sample, LineScanner, UtilScratch};
+use rod_workloads::sparse_graphs::SparseGraphGenerator;
 
 /// Schema version of `BENCH_ctrl.json`; bump on breaking layout changes.
 const SCHEMA_VERSION: u32 = 1;
@@ -43,8 +52,12 @@ const SCHEMA_VERSION: u32 = 1;
 const SEED: u64 = 42;
 
 /// Hard floors under `--check`, as `(cell, column, floor)`: the
-/// acceptance cell's fast path must stay ≥ 5× line-at-a-time.
-const FLOORS: &[(&str, &str, f64)] = &[("ingest_1m", "ingest_speedup", 5.0)];
+/// acceptance cell's fast path must stay ≥ 5× line-at-a-time, and the
+/// whole loop must keep up with 5 000 samples/s at m = 50k, n = 1000.
+const FLOORS: &[(&str, &str, f64)] = &[
+    ("ingest_1m", "ingest_speedup", 5.0),
+    ("loop_m50k_n1000", "batched_samples_per_sec", 5000.0),
+];
 
 /// Batch size of the fast path under test (`rodd`'s default).
 const MAX_BATCH: usize = 256;
@@ -53,8 +66,21 @@ const MAX_BATCH: usize = 256;
 enum Kind {
     /// Telemetry layer alone: `ingest_line` vs scanner + `ingest_batch`.
     Ingest,
-    /// Whole daemon: `replay` vs `replay_batched`.
-    Loop,
+    /// Whole daemon on this graph: `replay` vs `replay_batched`.
+    Loop(Graph),
+}
+
+/// The query graph and cluster a `Loop` cell's daemon controls.
+#[derive(Clone, Copy)]
+enum Graph {
+    /// The paper's Figure 4 graph (2 inputs) on 2 nodes.
+    Figure4,
+    /// `SparseGraphGenerator::sized(inputs, operators)` on `nodes` nodes.
+    Sparse {
+        inputs: usize,
+        operators: usize,
+        nodes: usize,
+    },
 }
 
 #[derive(Clone, Copy)]
@@ -87,8 +113,31 @@ const GRID: &[Cell] = &[
     // with drift detection, headroom evaluation, and decision logging.
     Cell {
         name: "loop_200k",
-        kind: Kind::Loop,
+        kind: Kind::Loop(Graph::Figure4),
         lines: 200_000,
+        quick: false,
+    },
+    // Calm monitoring at the scale of `rodd`'s surge benchmark: the
+    // per-sample headroom must not grow with the 5 000 operators.
+    Cell {
+        name: "loop_m5k_n64",
+        kind: Kind::Loop(Graph::Sparse {
+            inputs: 64,
+            operators: 5_000,
+            nodes: 64,
+        }),
+        lines: 20_000,
+        quick: true,
+    },
+    // Calm monitoring at the planner's claimed scale (floor in `FLOORS`).
+    Cell {
+        name: "loop_m50k_n1000",
+        kind: Kind::Loop(Graph::Sparse {
+            inputs: 200,
+            operators: 50_000,
+            nodes: 1000,
+        }),
+        lines: 10_000,
         quick: false,
     },
 ];
@@ -137,6 +186,107 @@ fn make_stream(lines: usize) -> String {
         ));
     }
     out
+}
+
+/// A calm telemetry stream for a sparse cell: every rate wanders within
+/// ±2% of `calm`, every node reports a utilisation, and one line per
+/// 10k is malformed, as in [`make_stream`].
+fn make_sparse_stream(lines: usize, calm: &[f64], nodes: usize) -> String {
+    let mut out = String::new();
+    let mut lcg = SEED | 1;
+    let mut unit = || {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (lcg >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for i in 0..lines {
+        if i % 10_000 == 9_999 {
+            out.push_str("{corrupt telemetry line\n");
+            continue;
+        }
+        let time = (i + 1) as f64 * 1e-6;
+        let rates: Vec<String> = calm
+            .iter()
+            .map(|r| (r * (0.98 + 0.04 * unit())).to_string())
+            .collect();
+        let utilisations: Vec<String> = (0..nodes)
+            .map(|_| format!("{:.4}", 0.3 + 0.2 * unit()))
+            .collect();
+        out.push_str(&format!(
+            "{{\"UtilSample\":{{\"time\":{time},\"utilisations\":[{}],\
+             \"queue_depths\":[{}],\"queued\":0,\"rates\":[{}]}}}}\n",
+            utilisations.join(","),
+            vec!["0"; nodes].join(","),
+            rates.join(","),
+        ));
+    }
+    out
+}
+
+/// What a `Loop` cell's daemons start from: the model, the cluster, the
+/// ROD plan `rodd` bootstraps with, and the telemetry stream.
+struct LoopSetup {
+    model: LoadModel,
+    cluster: Cluster,
+    initial: Allocation,
+    stream: String,
+}
+
+impl LoopSetup {
+    /// Figure 4 runs the firehose of the ingest cells. A sparse graph
+    /// runs calm rates with the plan's peak utilisation at 0.4: well
+    /// clear of the drift trigger, so the cell times steady-state
+    /// monitoring, not replans.
+    fn new(graph: Graph, lines: usize) -> LoopSetup {
+        let (query, nodes): (QueryGraph, usize) = match graph {
+            Graph::Figure4 => (figure4_graph(), 2),
+            Graph::Sparse {
+                inputs,
+                operators,
+                nodes,
+            } => (
+                SparseGraphGenerator::sized(inputs, operators).generate(SEED),
+                nodes,
+            ),
+        };
+        let model = LoadModel::derive(&query).expect("generated graphs derive");
+        let cluster = Cluster::homogeneous(nodes, 1.0);
+        let initial = RodPlanner::new()
+            .place(&model, &cluster)
+            .expect("ROD places every cell")
+            .allocation;
+        let stream = if let Graph::Figure4 = graph {
+            make_stream(lines)
+        } else {
+            let shape: Vec<f64> = (0..model.num_inputs())
+                .map(|k| 0.5 + (k % 7) as f64 / 7.0)
+                .collect();
+            let peak = PlanEvaluator::new(&model, &cluster)
+                .utilisations_at(&initial, &shape)
+                .as_slice()
+                .iter()
+                .fold(0.0f64, |a, &b| a.max(b));
+            let calm: Vec<f64> = shape.iter().map(|r| r * 0.4 / peak).collect();
+            make_sparse_stream(lines, &calm, nodes)
+        };
+        LoopSetup {
+            model,
+            cluster,
+            initial,
+            stream,
+        }
+    }
+
+    fn control_loop(&self) -> ControlLoop {
+        ControlLoop::new(
+            self.model.clone(),
+            self.cluster.clone(),
+            self.initial.clone(),
+            ControlConfig::default(),
+        )
+        .expect("valid loop setup")
+    }
 }
 
 fn telemetry_config() -> TelemetryConfig {
@@ -221,18 +371,19 @@ fn assert_ingest_equal(cell: &str, a: &TelemetryIngest, b: &TelemetryIngest) {
     assert_eq!(bits(&ea), bits(&eb), "{cell}: estimate bits diverged");
 }
 
-fn make_loop() -> ControlLoop {
-    rod_ctrl::bootstrap(
-        &figure4_graph(),
-        Cluster::homogeneous(2, 1.0),
-        ControlConfig::default(),
-    )
-    .expect("figure 4 bootstrap")
-}
-
 fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
-    let stream = make_stream(cell.lines);
-    let bytes = stream.as_bytes();
+    let setup = match cell.kind {
+        Kind::Ingest => None,
+        Kind::Loop(graph) => Some(LoopSetup::new(graph, cell.lines)),
+    };
+    let firehose;
+    let bytes = match &setup {
+        None => {
+            firehose = make_stream(cell.lines);
+            firehose.as_bytes()
+        }
+        Some(setup) => setup.stream.as_bytes(),
+    };
     let mut line_times = Vec::with_capacity(repeats);
     let mut batch_times = Vec::with_capacity(repeats);
     for _ in 0..repeats {
@@ -244,12 +395,13 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
                 line_times.push(line_s);
                 batch_times.push(batch_s);
             }
-            Kind::Loop => {
-                let mut oracle = make_loop();
+            Kind::Loop(_) => {
+                let setup = setup.as_ref().expect("loop cells have a setup");
+                let mut oracle = setup.control_loop();
                 let t = Instant::now();
                 let s1 = oracle.replay(bytes).expect("valid UTF-8 stream");
                 line_times.push(t.elapsed().as_secs_f64());
-                let mut fast = make_loop();
+                let mut fast = setup.control_loop();
                 let t = Instant::now();
                 let s2 = fast
                     .replay_batched(bytes, MAX_BATCH)
@@ -265,6 +417,11 @@ fn run_cell(cell: &Cell, repeats: usize) -> CellResult {
                     oracle.decision_log_jsonl(),
                     fast.decision_log_jsonl(),
                     "{}: decision logs diverged",
+                    cell.name
+                );
+                assert_eq!(
+                    s1.replans_triggered, 0,
+                    "{}: the stream is not calm",
                     cell.name
                 );
             }
@@ -297,7 +454,14 @@ fn main() {
         })
         .collect();
 
-    let mega = |x: f64| format!("{:.2}M", x / 1e6);
+    // Samples/s: millions on the ingest cells, thousands at cluster scale.
+    let rate = |x: f64| {
+        if x >= 1e6 {
+            format!("{:.2}M", x / 1e6)
+        } else {
+            format!("{:.1}k", x / 1e3)
+        }
+    };
     let rows: Vec<Vec<(&str, String)>> = grid
         .iter()
         .map(|c| {
@@ -307,8 +471,8 @@ fn main() {
                 ("bytes", format!("{:.1}M", c.stream_bytes as f64 / 1e6)),
                 ("line s", format!("{:.3}", c.line_seconds)),
                 ("batch s", format!("{:.3}", c.batched_seconds)),
-                ("line sps", mega(c.line_samples_per_sec)),
-                ("batch sps", mega(c.batched_samples_per_sec)),
+                ("line sps", rate(c.line_samples_per_sec)),
+                ("batch sps", rate(c.batched_samples_per_sec)),
                 ("speedup", format!("{:.1}x", c.ingest_speedup)),
             ]
         })

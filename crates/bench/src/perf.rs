@@ -198,7 +198,7 @@ pub fn floor_regressions(current: &Value, floors: &[(&str, &str, f64)]) -> Vec<S
         .iter()
         .filter_map(|&(name, col, floor)| {
             let value = leg(cell(current, name)?, col)?;
-            (value < floor).then(|| format!("{name}: {col} {value:.2}x under the {floor}x floor"))
+            (value < floor).then(|| format!("{name}: {col} {value:.2} under the floor of {floor}"))
         })
         .collect()
 }
@@ -300,7 +300,7 @@ mod tests {
         let floors = [("a", "speedup", 10.0), ("b", "speedup", 10.0)];
         assert_eq!(
             floor_regressions(&run, &floors),
-            ["a: speedup 9.90x under the 10x floor"]
+            ["a: speedup 9.90 under the floor of 10"]
         );
         // Cells the run did not include and legs it did not run are skipped.
         let absent = [("c", "speedup", 10.0), ("d", "speedup", 10.0)];

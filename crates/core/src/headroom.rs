@@ -13,15 +13,20 @@
 //! * the **binding node** for each direction — which machine saturates
 //!   first, i.e. where capacity should be added.
 //!
-//! Used by `rodctl explain`, the `burst_resilience` example, and the
-//! plan-comparison tests.
+//! A plan's feasible set `F(A) = {x ≥ 0 : L^n x ≤ C}` is a fixed polytope,
+//! so [`PlanLoadRows`] builds its node-load rows once and answers every
+//! later rate point from one sparse row product — O(n·d) per point,
+//! independent of the operator count. `rodd` holds the rows of its
+//! running plan and reads peak utilisation, feasibility and uniform
+//! headroom from them on every sample; [`headroom`] (used by `rodctl
+//! explain`, the `burst_resilience` example, and the plan-comparison
+//! tests) computes its uniform answer through the same rows.
 
 use serde::{Deserialize, Serialize};
 
-use rod_geom::Vector;
-
 use crate::allocation::{Allocation, PlanEvaluator};
 use crate::ids::NodeId;
+use crate::load_model::LoadModel;
 
 /// Exact headroom of one plan at one operating point.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -49,6 +54,184 @@ impl HeadroomReport {
     }
 }
 
+/// Rows per block of [`PlanLoadRows`]: each block's loads accumulate in
+/// this many independent lanes.
+const LANES: usize = 8;
+
+/// The node-load rows `L^n` of one plan, with its cluster's capacities:
+/// the plan's feasible set, built once and queried per rate point.
+///
+/// Building costs what [`PlanEvaluator::node_load_matrix`] costs
+/// (O(m·nnz)); every query after that is one product of the rows with a
+/// variable point, O(n·d) at most. Rows are stored in blocks of `LANES`,
+/// column by column, so one pass over a block's columns advances the
+/// `LANES` row sums side by side (independent chains the compiler
+/// vectorises) while each row still sums its terms in ascending column
+/// order, exactly as the dense `Matrix::matvec` row product does. A
+/// block skips the columns that are zero in all its rows: a skipped term
+/// would only have added `+0.0`, which leaves a nonzero sum unchanged, so
+/// every load is bit-identical to the dense product (up to the sign of an
+/// all-zero load, which none of the answers reads).
+#[derive(Clone, Debug)]
+pub struct PlanLoadRows {
+    /// Block `b` owns columns `starts[b]..starts[b + 1]` of `cols`/`coeffs`.
+    starts: Vec<usize>,
+    /// Column index of each stored block column.
+    cols: Vec<usize>,
+    /// The `LANES` coefficients of each stored block column (rows past
+    /// the last node are zero).
+    coeffs: Vec<[f64; LANES]>,
+    capacities: Vec<f64>,
+    num_vars: usize,
+}
+
+impl PlanLoadRows {
+    /// The rows of `alloc` under the evaluator's model and cluster.
+    pub fn new(ev: &PlanEvaluator<'_>, alloc: &Allocation) -> PlanLoadRows {
+        let ln = ev.node_load_matrix(alloc);
+        let (n, d) = (ln.rows(), ln.cols());
+        let mut starts = vec![0];
+        let (mut cols, mut coeffs) = (Vec::new(), Vec::new());
+        for first in (0..n).step_by(LANES) {
+            let rows = first..n.min(first + LANES);
+            for k in 0..d {
+                let mut column = [0.0; LANES];
+                for (lane, i) in rows.clone().enumerate() {
+                    column[lane] = ln.row(i)[k];
+                }
+                if column.iter().any(|&l| l != 0.0) {
+                    cols.push(k);
+                    coeffs.push(column);
+                }
+            }
+            starts.push(cols.len());
+        }
+        PlanLoadRows {
+            starts,
+            cols,
+            coeffs,
+            capacities: ev.cluster().capacities().as_slice().to_vec(),
+            num_vars: d,
+        }
+    }
+
+    /// Node loads `L^n x` at a point `x` of the model's variable space.
+    fn loads(&self, x: &[f64]) -> NodeLoads<'_> {
+        assert_eq!(x.len(), self.num_vars, "one value per model variable");
+        let n = self.capacities.len();
+        let mut loads = Vec::with_capacity(n + LANES);
+        for block in self.starts.windows(2) {
+            let (lo, hi) = (block[0], block[1]);
+            loads.extend_from_slice(&block_product(&self.cols[lo..hi], &self.coeffs[lo..hi], x));
+        }
+        loads.truncate(n);
+        NodeLoads {
+            loads,
+            capacities: &self.capacities,
+        }
+    }
+
+    /// Node loads at a system-input rate point of `model` (the model the
+    /// rows were built from).
+    pub fn loads_at(&self, model: &LoadModel, input_rates: &[f64]) -> NodeLoads<'_> {
+        self.loads(model.variable_point(input_rates).as_slice())
+    }
+}
+
+/// One block's `LANES` row sums, each over its columns in ascending
+/// order from `+0.0`. Kept out of line so the accumulators stay in
+/// registers across the column loop.
+#[inline(never)]
+fn block_product(cols: &[usize], coeffs: &[[f64; LANES]], x: &[f64]) -> [f64; LANES] {
+    let mut acc = [0.0; LANES];
+    for (&k, column) in cols.iter().zip(coeffs) {
+        let xk = x[k];
+        for (a, l) in acc.iter_mut().zip(column) {
+            *a += l * xk;
+        }
+    }
+    acc
+}
+
+/// The node loads of one plan at one point, and the questions the
+/// control loop asks of them.
+#[derive(Clone, Debug)]
+pub struct NodeLoads<'a> {
+    loads: Vec<f64>,
+    capacities: &'a [f64],
+}
+
+impl NodeLoads<'_> {
+    /// Peak utilisation `max_i load_i / C_i`, folded from 0 exactly as
+    /// callers fold [`PlanEvaluator::utilisations_at`].
+    pub fn peak_utilisation(&self) -> f64 {
+        self.loads
+            .iter()
+            .zip(self.capacities)
+            .fold(0.0f64, |a, (l, c)| a.max(l / c))
+    }
+
+    /// True when no node is overloaded — the test
+    /// [`PlanEvaluator::is_feasible_at`] applies.
+    pub fn is_feasible(&self) -> bool {
+        self.loads
+            .iter()
+            .zip(self.capacities)
+            .all(|(l, c)| *l <= c + 1e-12)
+    }
+
+    /// The largest `α ≥ 0` with `L^n (x + α·v) ≤ C`, where `self` holds
+    /// the loads of `x` and `along` those of `v`: 0 when `x` is already
+    /// outside, ∞ when `v` loads no node. Expression for expression the
+    /// ray cast of `FeasibleRegion::max_scale_along`, so bit-identical
+    /// to it.
+    fn max_scale_along(&self, along: &NodeLoads<'_>) -> f64 {
+        let mut alpha = f64::INFINITY;
+        for ((load, dir_load), cap) in self.loads.iter().zip(&along.loads).zip(self.capacities) {
+            let slack = cap - load;
+            if slack < 0.0 {
+                return 0.0;
+            }
+            if *dir_load > 0.0 {
+                alpha = alpha.min(slack / dir_load);
+            }
+        }
+        alpha
+    }
+
+    /// The largest multiplier `m` with `m·x` feasible, by ray casting
+    /// along `x` itself: [`HeadroomReport::uniform`]. Saturates at 1.0
+    /// once `x` is outside.
+    pub fn uniform_scale(&self) -> f64 {
+        1.0 + self.max_scale_along(self)
+    }
+
+    /// Uniform headroom as the control loop reads it: the ray cast while
+    /// the point is inside, and past the boundary — where the ray cast
+    /// saturates at 1.0 — `1/peak` utilisation (< 1), which is also the
+    /// feasible fraction a shedder should keep.
+    pub fn uniform_headroom(&self) -> f64 {
+        let peak = self.peak_utilisation();
+        if peak > 1.0 {
+            return 1.0 / peak;
+        }
+        self.uniform_scale()
+    }
+
+    /// The node that saturates first under uniform scaling: the argmin
+    /// of `C_i / load_i` over loaded nodes (node 0 when none is loaded).
+    fn binding_node(&self) -> NodeId {
+        self.loads
+            .iter()
+            .zip(self.capacities)
+            .enumerate()
+            .filter_map(|(i, (&load, cap))| (load > 0.0).then_some((i, cap / load)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| NodeId(i))
+            .unwrap_or(NodeId(0))
+    }
+}
+
 /// Computes the exact headroom of `alloc` at `base_rates`.
 ///
 /// Introduced (linearised) variables scale with their upstream inputs:
@@ -56,17 +239,28 @@ impl HeadroomReport {
 /// join's output rate responds super-linearly exactly as in the true
 /// system. Directions are the *limits* of finite perturbations, computed
 /// with a small finite difference — exact for linear graphs, first-order
-/// for join outputs (conservative within a few percent for realistic
-/// windows).
+/// for join outputs.
+///
+/// The uniform answer scales the base *variable point*, which for a
+/// linear graph is the same as scaling every input, so it is exact there.
+/// A join's output grows with the product of its inputs, so along the
+/// true input ray the region ends sooner and `uniform` is optimistic. For
+/// pairwise joins of linear streams (the `rod_workloads::joins`
+/// workloads) every node's load along the ray is `a·m + b·m²` with
+/// `a, b ≥ 0`, which bounds the true multiplier `m*` to
+/// `√uniform ≤ m* ≤ uniform`: the report overstates by at most a factor
+/// `√uniform`, and the bound is attained where join load dominates a
+/// node (a base point at 10% of such a boundary reports 100 for a true
+/// 10). A test in `rod-ctrl` bisects `m*` with
+/// [`PlanEvaluator::is_feasible_at`] on those workloads and pins the
+/// bound. Per-stream answers have no such gap on pairwise joins: scaling
+/// one input moves a join's output linearly.
 pub fn headroom(ev: &PlanEvaluator<'_>, alloc: &Allocation, base_rates: &[f64]) -> HeadroomReport {
     let model = ev.model();
     assert_eq!(base_rates.len(), model.num_inputs());
-    // One pass through the evaluation layer supplies both the exact
-    // region (for ray casting) and the node load rows (for the binding
-    // node) without rebuilding matrices twice.
-    let eval = ev.incremental(alloc);
-    let region = eval.snapshot().region;
+    let rows = PlanLoadRows::new(ev, alloc);
     let base_point = model.variable_point(base_rates);
+    let base = rows.loads(base_point.as_slice());
 
     // Per-stream: direction = d(variable point)/d(rate_k), finite diff.
     let eps = 1e-6;
@@ -76,15 +270,13 @@ pub fn headroom(ev: &PlanEvaluator<'_>, alloc: &Allocation, base_rates: &[f64]) 
         let step = (base_rates[k].abs() + 1.0) * eps;
         bumped[k] += step;
         let bumped_point = model.variable_point(&bumped);
-        let direction = Vector::new(
-            bumped_point
-                .as_slice()
-                .iter()
-                .zip(base_point.as_slice())
-                .map(|(b, a)| (b - a) / step)
-                .collect(),
-        );
-        let alpha = region.max_scale_along(&base_point, &direction);
+        let direction: Vec<f64> = bumped_point
+            .as_slice()
+            .iter()
+            .zip(base_point.as_slice())
+            .map(|(b, a)| (b - a) / step)
+            .collect();
+        let alpha = base.max_scale_along(&rows.loads(&direction));
         // alpha is extra *rate* on stream k; convert to a multiplier.
         let multiplier = if base_rates[k] > 0.0 {
             1.0 + alpha / base_rates[k]
@@ -94,35 +286,11 @@ pub fn headroom(ev: &PlanEvaluator<'_>, alloc: &Allocation, base_rates: &[f64]) 
         per_stream.push(multiplier);
     }
 
-    // Uniform: direction = the base variable point itself (for linear
-    // graphs scaling all inputs by m scales every variable by m; for
-    // joins the true response is steeper, making this slightly
-    // optimistic — callers probing joins should verify with
-    // `is_feasible_at`, as the tests do).
-    let alpha = region.max_scale_along(&base_point, &base_point);
-    let uniform = 1.0 + alpha;
-
-    // Binding node under uniform scaling: the argmin of slack/load.
-    let caps = ev.cluster().capacities();
-    let binding_node = (0..eval.num_nodes())
-        .filter_map(|i| {
-            let load: f64 = eval
-                .node_load_row(NodeId(i))
-                .iter()
-                .zip(base_point.as_slice())
-                .map(|(l, x)| l * x)
-                .sum();
-            (load > 0.0).then_some((i, caps[i] / load))
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(i, _)| NodeId(i))
-        .unwrap_or(NodeId(0));
-
     HeadroomReport {
         base_rates: base_rates.to_vec(),
         per_stream,
-        uniform,
-        binding_node,
+        uniform: base.uniform_scale(),
+        binding_node: base.binding_node(),
     }
 }
 

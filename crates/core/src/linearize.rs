@@ -234,9 +234,20 @@ impl Linearization {
 
     /// Concrete values of all variables at a system-input rate point,
     /// obtained by propagating true rates through the graph (nominal
-    /// selectivities for data-dependent operators).
+    /// selectivities for data-dependent operators). Only introduced
+    /// variables need that O(m) propagation; a linear graph's variables
+    /// are its input rates, read off in O(d).
     pub fn variable_point(&self, graph: &QueryGraph, input_rates: &[f64]) -> Vec<f64> {
-        let rates = graph.propagate_rates(input_rates);
+        let introduced = self
+            .vars
+            .iter()
+            .any(|v| matches!(v, VarInfo::Introduced { .. }));
+        let rates = if introduced {
+            graph.propagate_rates(input_rates)
+        } else {
+            assert_eq!(input_rates.len(), graph.num_inputs(), "one rate per input");
+            Vec::new()
+        };
         self.vars
             .iter()
             .map(|v| match v {

@@ -107,15 +107,29 @@ impl MetricsRegistry {
     }
 
     /// Adds `n` to the counter `name` (created at 0 on first use).
+    ///
+    /// Only the first write to a name allocates its key, so hot-path
+    /// counters cost a lookup.
     pub fn add(&self, name: &str, n: u64) {
         let mut inner = self.lock();
-        *inner.counters.entry(name.to_string()).or_insert(0) += n;
+        match inner.counters.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                inner.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
-    /// Sets the gauge `name` to `value` (last write wins).
+    /// Sets the gauge `name` to `value` (last write wins). Like
+    /// [`add`](Self::add), only the first write allocates the key.
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut inner = self.lock();
-        inner.gauges.insert(name.to_string(), value);
+        match inner.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                inner.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Records one observation into the histogram `name`. Non-finite
@@ -361,6 +375,38 @@ pub fn record_kernel_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repeated_writes_keep_values_and_render_order() {
+        let m = MetricsRegistry::new();
+        for name in ["ctrl.z", "ctrl.a", "ctrl.m"] {
+            m.add(name, 2);
+            m.set_gauge(name, 1.5);
+        }
+        m.add("ctrl.a", 3);
+        m.incr("ctrl.a");
+        m.set_gauge("ctrl.z", -0.25);
+        m.set_gauge("ctrl.z", 4.0);
+        assert_eq!(m.counter("ctrl.a"), 6);
+        assert_eq!(m.counter("ctrl.m"), 2);
+        assert_eq!(m.gauge("ctrl.z"), Some(4.0));
+        assert_eq!(m.gauge("ctrl.a"), Some(1.5));
+        let snap = m.snapshot();
+        let counters: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        assert_eq!(counters, [("ctrl.a", 6), ("ctrl.m", 2), ("ctrl.z", 2)]);
+        assert_eq!(
+            snap.render(),
+            format!(
+                "{:<42} 6\n{:<42} 2\n{:<42} 2\n\
+                 {:<42} 1.500000\n{:<42} 1.500000\n{:<42} 4.000000\n",
+                "ctrl.a", "ctrl.m", "ctrl.z", "ctrl.a", "ctrl.m", "ctrl.z"
+            )
+        );
+    }
 
     #[test]
     fn pool_delta_surfaces_through_render() {

@@ -3,7 +3,10 @@
 //! [`ControlLoop`] ties the layers together. Each telemetry line flows
 //! through tolerant ingestion ([`crate::telemetry`]); accepted samples
 //! update the rate estimate, whose headroom against the *current* plan
-//! feeds the drift detector ([`crate::drift`]); a drift verdict replans
+//! feeds the drift detector ([`crate::drift`]). That headroom comes from
+//! the current plan's node-load rows ([`PlanLoadRows`]), built once per
+//! plan and rebuilt only after a commit executes, so a sample costs
+//! O(n·d) whatever the operator count; a drift verdict replans
 //! under the guard ([`crate::guard`]) at whatever breadth the degradation
 //! ladder ([`crate::ladder`]) currently allows; a committed plan executes
 //! through the chaos-hardened migration executor ([`crate::executor`]).
@@ -27,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use rod_core::allocation::Allocation;
 use rod_core::cluster::Cluster;
-use rod_core::headroom::headroom;
+use rod_core::headroom::PlanLoadRows;
 use rod_core::load_model::LoadModel;
 use rod_core::obs::MetricsRegistry;
 use rod_core::PlanEvaluator;
@@ -220,6 +223,8 @@ pub struct ControlLoop {
     planner: GuardedPlanner,
     executor: Box<dyn MigrationExecutor>,
     current: Allocation,
+    /// Node-load rows of `current`, rebuilt after each executed commit.
+    current_rows: PlanLoadRows,
     last_good: Allocation,
     decisions: Vec<Decision>,
     metrics: MetricsRegistry,
@@ -278,6 +283,7 @@ impl ControlLoop {
         };
         let metrics = MetricsRegistry::new();
         metrics.set_gauge("ctrl.degradation_level", 0.0);
+        let current_rows = plan_rows(&model, &cluster, &metrics, &initial);
         Ok(ControlLoop {
             ingest: TelemetryIngest::new(telemetry),
             drift: DriftDetector::new(cfg.drift.clone()),
@@ -285,6 +291,7 @@ impl ControlLoop {
             planner,
             executor: Box::new(ReliableExecutor),
             current: initial.clone(),
+            current_rows,
             last_good: initial,
             decisions: Vec::new(),
             metrics,
@@ -536,23 +543,6 @@ impl ControlLoop {
         });
     }
 
-    fn uniform_headroom(&self, alloc: &Allocation, rates: &[f64]) -> f64 {
-        let ev = PlanEvaluator::new(&self.model, &self.cluster);
-        // `headroom()` ray-casts from inside the region and saturates at
-        // 1.0 once the base point is infeasible; past the boundary the
-        // informative margin is 1/peak-utilisation (< 1), which is also
-        // the feasible fraction a shedder should keep.
-        let peak = ev
-            .utilisations_at(alloc, rates)
-            .as_slice()
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b));
-        if peak > 1.0 {
-            return 1.0 / peak;
-        }
-        headroom(&ev, alloc, rates).uniform
-    }
-
     fn on_sample(&mut self, time: f64) {
         let estimate = self.ingest.estimate();
         self.on_sample_est(time, estimate);
@@ -567,7 +557,10 @@ impl ControlLoop {
         if estimate.iter().all(|&r| r <= 0.0) {
             return;
         }
-        let h = self.uniform_headroom(&self.current, &estimate);
+        let h = self
+            .current_rows
+            .loads_at(&self.model, &estimate)
+            .uniform_headroom();
         self.metrics.set_gauge("ctrl.headroom", h);
         match self.drift.observe(h) {
             DriftVerdict::Calm => self.ladder_success(time),
@@ -684,8 +677,9 @@ impl ControlLoop {
                 fault: true,
             };
         }
-        let ev = PlanEvaluator::new(&self.model, &self.cluster);
-        if !ev.is_feasible_at(candidate, estimate) {
+        let rows = plan_rows(&self.model, &self.cluster, &self.metrics, candidate);
+        let loads = rows.loads_at(&self.model, estimate);
+        if !loads.is_feasible() {
             return Gate::Reject {
                 reason: "candidate is infeasible at the estimate".into(),
                 fault: true,
@@ -697,7 +691,7 @@ impl ControlLoop {
                 fault: false,
             };
         }
-        let headroom_after = headroom(&ev, candidate, estimate).uniform;
+        let headroom_after = loads.uniform_scale();
         let predicted_downtime = moves.len() as f64 * self.cfg.migration.base_downtime;
         // A rescue (current plan infeasible, candidate feasible) is
         // always worth the downtime; a routine improvement must buy
@@ -753,6 +747,9 @@ impl ControlLoop {
                 });
             }
         }
+        // Chaos can apply a plan partially, so the rows follow what ran,
+        // not the candidate.
+        self.current_rows = plan_rows(&self.model, &self.cluster, &self.metrics, &self.current);
         self.metrics.add("ctrl.migrations_retried", report.retries);
         if report.aborted > 0 {
             self.metrics.add("ctrl.migrations_aborted", report.aborted);
@@ -790,6 +787,19 @@ impl ControlLoop {
                 .push(Decision::DegradationChanged { time, level });
         }
     }
+}
+
+/// Builds the node-load rows of `alloc`, counting each build under
+/// `ctrl.plan_rows_built`: once at start-up, once per gated candidate and
+/// once per executed commit — never per sample.
+fn plan_rows(
+    model: &LoadModel,
+    cluster: &Cluster,
+    metrics: &MetricsRegistry,
+    alloc: &Allocation,
+) -> PlanLoadRows {
+    metrics.incr("ctrl.plan_rows_built");
+    PlanLoadRows::new(&PlanEvaluator::new(model, cluster), alloc)
 }
 
 /// A convenience constructor: derive the model, plan the initial

@@ -96,12 +96,17 @@ pub trait PlanStrategy: Send {
 /// The real strategy: full mode runs the ROD planner; incremental mode
 /// hill-climbs single-operator moves that reduce the peak utilisation at
 /// the estimate, bounded by `max_incremental_moves`.
+///
+/// ROD is rate-independent and the strategy's model and cluster never
+/// change, so full mode plans once and every later full replan returns
+/// that first outcome.
 #[derive(Clone, Debug)]
 pub struct RodStrategy {
     model: LoadModel,
     cluster: Cluster,
     /// Cap on relocations per incremental replan (blast-radius bound).
     pub max_incremental_moves: usize,
+    full: Option<Result<Allocation, PlanFault>>,
 }
 
 impl RodStrategy {
@@ -111,6 +116,7 @@ impl RodStrategy {
             model,
             cluster,
             max_incremental_moves: 2,
+            full: None,
         }
     }
 
@@ -158,12 +164,17 @@ impl RodStrategy {
 impl PlanStrategy for RodStrategy {
     fn plan(&mut self, req: &PlanRequest) -> Result<Allocation, PlanFault> {
         match req.mode {
-            PlanMode::Full => RodPlanner::new()
-                .place(&self.model, &self.cluster)
-                .map(|plan| plan.allocation)
-                .map_err(|e| PlanFault::Failed {
-                    message: e.to_string(),
-                }),
+            PlanMode::Full => self
+                .full
+                .get_or_insert_with(|| {
+                    RodPlanner::new()
+                        .place(&self.model, &self.cluster)
+                        .map(|plan| plan.allocation)
+                        .map_err(|e| PlanFault::Failed {
+                            message: e.to_string(),
+                        })
+                })
+                .clone(),
             PlanMode::IncrementalOnly => self.incremental(req),
         }
     }

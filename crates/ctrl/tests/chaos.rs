@@ -11,8 +11,13 @@
 //!    where it started;
 //! 3. **fixed-seed replay is bit-identical**: the same input stream
 //!    produces byte-equal JSONL decision logs (the same bytes the daemon
-//!    writes with `--log-out`).
+//!    writes with `--log-out`), and each scenario below is pinned to
+//!    the bytes it logged before the loop's sample path read headroom
+//!    from rows cached per plan.
 
+mod common;
+
+use common::{assert_pins, Pin};
 use proptest::prelude::*;
 
 use rod_core::allocation::Allocation;
@@ -226,4 +231,63 @@ fn first_hot_sample_still_replans_only_with_an_estimate() {
     assert!(l.current().is_complete());
     let model = LoadModel::derive(&figure4_graph()).unwrap();
     assert_eq!(l.current().num_operators(), model.num_operators());
+}
+
+/// The logs of [`scenario_logs`], in order. The healthy surge and the
+/// failing executor log the same bytes: on this surge the healthy
+/// planner's candidates are the running plan or infeasible, so nothing
+/// commits and neither executor ever runs.
+const SCENARIO_PINS: [Pin; 8] = [
+    Pin::new(2122, 0x52bc9cbc8a25b548),
+    Pin::new(1982, 0x9ec508ca26942413),
+    Pin::new(1974, 0x5d4c29260a81a25d),
+    Pin::new(1978, 0x71e28c4043266153),
+    Pin::new(2122, 0x52bc9cbc8a25b548),
+    Pin::new(2029, 0x69d0f618f736db37),
+    Pin::new(182, 0x34bc940a682a11db),
+    Pin::new(4029, 0xdcb1c64010044152),
+];
+
+/// A fixed hostile stream: every line class, rates across the boundary.
+fn fixed_hostile_draws() -> Vec<(u8, u8)> {
+    (0..120u32)
+        .map(|i| ((i * 5 % 8) as u8, (i * 97 % 256) as u8))
+        .collect()
+}
+
+/// Every scenario above, run once more with fixed inputs, in a fixed
+/// order: the healthy surge, each planner fault class, the failing
+/// executor, the corrupt-line round trip, the single hot sample and a
+/// fixed hostile stream.
+fn scenario_logs() -> Vec<String> {
+    let surged = |mut l: ControlLoop| {
+        surge(&mut l);
+        l.decision_log_jsonl()
+    };
+    let mut logs = vec![
+        surged(make_loop()),
+        surged(make_loop().with_strategy(Box::new(Panicking))),
+        surged(make_loop().with_strategy(Box::new(Failing))),
+        surged(make_loop().with_strategy(Box::new(Infeasible))),
+        surged(make_loop().with_executor(Box::new(ChaosExecutor::new(0.999_999, 42)))),
+    ];
+    let mut l = make_loop().with_strategy(Box::new(Failing));
+    l.observe_line("corrupt {{{");
+    logs.push(surged(l));
+    let mut l = make_loop();
+    l.observe_line(&sample_line(1.0, &[1.0, 1.0], &[0.11, 0.11]));
+    logs.push(l.decision_log_jsonl());
+    let mut l = make_loop();
+    drive(&mut l, &fixed_hostile_draws());
+    logs.push(l.decision_log_jsonl());
+    logs
+}
+
+#[test]
+fn scenario_decision_logs_are_pinned() {
+    let actual: Vec<Pin> = scenario_logs()
+        .iter()
+        .map(|l| Pin::of(l.as_bytes()))
+        .collect();
+    assert_pins("chaos scenarios", &actual, &SCENARIO_PINS);
 }

@@ -8,7 +8,10 @@
 //! * a rescue plan commits with feasible headroom at the estimate;
 //! * every decision-log line round-trips through serde and carries
 //!   exactly one externally-tagged variant key, matching the shape the
-//!   checked-in `decision_log.schema.json` describes.
+//!   checked-in `decision_log.schema.json` describes;
+//! * the decision log is byte-identical to its golden pin.
+
+mod common;
 
 use std::fs;
 use std::io::BufReader;
@@ -19,6 +22,12 @@ use rod_core::cluster::Cluster;
 use rod_core::load_model::LoadModel;
 use rod_core::QueryGraph;
 use rod_ctrl::{ControlConfig, ControlLoop, Decision};
+
+use common::{assert_pins, Pin};
+
+/// The surge fixture's decision log, recorded on the loop as it stood
+/// before its sample path read headroom from rows cached per plan.
+const SURGE_LOG_PIN: Pin = Pin::new(542, 0x72956a9ba8db595f);
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -65,6 +74,16 @@ fn corrupt_line_is_counted_not_fatal() {
 }
 
 #[test]
+fn surge_decision_log_is_pinned() {
+    let log = replay_fixture().decision_log_jsonl();
+    assert_pins(
+        "surge fixture",
+        &[Pin::of(log.as_bytes())],
+        &[SURGE_LOG_PIN],
+    );
+}
+
+#[test]
 fn surge_triggers_replan_and_rescue_commit() {
     let loop_ = replay_fixture();
     let s = loop_.summary();
@@ -96,6 +115,30 @@ fn surge_triggers_replan_and_rescue_commit() {
     let seeded: Allocation =
         serde_json::from_str(&fs::read_to_string(fixture("plan.json")).unwrap()).unwrap();
     assert_ne!(loop_.current(), &seeded);
+}
+
+/// The running plan's node-load rows are built once at start-up and
+/// after each executed commit, and a candidate's once at the gate —
+/// never per sample, however many samples arrive.
+#[test]
+fn plan_rows_are_built_per_plan_not_per_sample() {
+    let loop_ = replay_fixture();
+    let s = loop_.summary();
+    // Every replan on the fixture reaches the gate's feasibility check
+    // (no planner faults, no malformed or pinned-move candidates).
+    let gates = loop_
+        .decisions()
+        .iter()
+        .filter(|d| matches!(d, Decision::ReplanTriggered { .. }))
+        .count() as u64;
+    assert!(!loop_.decisions().iter().any(|d| matches!(
+        d,
+        Decision::ReplanAborted { reason, .. }
+            if reason.starts_with("planner") || reason.contains("malformed") || reason.contains("pinned")
+    )));
+    let built = loop_.metrics().counter("ctrl.plan_rows_built");
+    assert_eq!(built, 1 + gates + s.plans_committed, "{s:?}");
+    assert!(built < s.samples_accepted, "{built} builds for {s:?}");
 }
 
 /// Field lookup on the vendored `Value`'s ordered-pair object repr.

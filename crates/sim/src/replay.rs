@@ -267,6 +267,30 @@ pub mod scan {
         pub rates: Vec<f64>,
     }
 
+    /// Exact powers of ten: every `10^k` with `k ≤ 22` is an `f64`.
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+
+    /// The value of the unsigned decimal `int.frac` when Clinger's fast
+    /// path applies: its digits as an integer `w ≤ 2^53` and at most 22
+    /// fraction digits. Then `w` and `10^frac` are both exact `f64`s and
+    /// one correctly rounded division yields the correctly rounded value
+    /// of the decimal — the very bits `str::parse::<f64>` returns. `None`
+    /// sends the token to `parse`.
+    fn exact_decimal(int: &[u8], frac: &[u8]) -> Option<f64> {
+        // 19 digits cannot overflow a u64.
+        if int.len() + frac.len() > 19 || frac.len() >= POW10.len() {
+            return None;
+        }
+        let w = int
+            .iter()
+            .chain(frac)
+            .fold(0u64, |w, d| w * 10 + u64::from(d - b'0'));
+        (w <= 1 << 53).then(|| w as f64 / POW10[frac.len()])
+    }
+
     /// Byte cursor over one line; all helpers consume only ASCII, so an
     /// accepted line is guaranteed valid UTF-8.
     struct Cursor<'a> {
@@ -329,19 +353,29 @@ pub mod scan {
         /// A strict JSON number token: `-? digits (. digits)? ([eE]
         /// [+-]? digits)?` — a subset of both the JSON parser's token
         /// rule and `f64::from_str`'s grammar, delimited identically, so
-        /// `str::parse::<f64>()` on the token yields the very bits the
-        /// full parse would. Returns `None` on any deviation (the caller
-        /// falls back).
+        /// the token decodes to the very bits the full parse gives it:
+        /// short plain decimals by [`exact_decimal`], the rest by
+        /// `str::parse::<f64>()`, and an integer zero as `+0.0` (the full
+        /// parser reads integers as integers). Returns `None` on any
+        /// deviation (the caller falls back).
         fn f64_token(&mut self) -> Option<f64> {
             let start = self.pos;
-            self.eat(b'-');
+            let negative = self.eat(b'-');
+            let int_start = self.pos;
             if !self.digits() {
                 return None;
             }
-            if self.eat(b'.') && !self.digits() {
-                return None;
+            let int = &self.bytes[int_start..self.pos];
+            let mut frac: &[u8] = &[];
+            if self.eat(b'.') {
+                let frac_start = self.pos;
+                if !self.digits() {
+                    return None;
+                }
+                frac = &self.bytes[frac_start..self.pos];
             }
-            if matches!(self.bytes.get(self.pos), Some(b'e') | Some(b'E')) {
+            let exponent = matches!(self.bytes.get(self.pos), Some(b'e') | Some(b'E'));
+            if exponent {
                 self.pos += 1;
                 if !self.eat(b'+') {
                     self.eat(b'-');
@@ -350,9 +384,19 @@ pub mod scan {
                     return None;
                 }
             }
-            // The token is pure ASCII by construction.
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-            text.parse::<f64>().ok()
+            let value = match exact_decimal(int, frac).filter(|_| !exponent) {
+                Some(v) if negative => -v,
+                Some(v) => v,
+                None => {
+                    // The token is pure ASCII by construction.
+                    let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+                    text.parse::<f64>().ok()?
+                }
+            };
+            // The full parser reads an integer token as an integer, which
+            // has no negative zero: `-0` is `+0.0` there too.
+            let integer = frac.is_empty() && !exponent;
+            Some(if integer && value == 0.0 { 0.0 } else { value })
         }
 
         /// A non-negative integer token in `usize` range. Tokens with a
@@ -711,6 +755,70 @@ mod tests {
                 r#"{"UtilSample":{"time":0.5,"utilisations":[],"queue_depths":[],"queued":0,"rates":[9999999999999999999999]}}"#,
             ] {
                 assert!(check(line), "{line}");
+            }
+        }
+
+        /// Short plain decimals decode through the exact-division fast
+        /// path; every token must still carry the full parser's bits:
+        /// `str::parse`'s, except that an integer `-0` is `+0.0`.
+        #[test]
+        fn probe_decimals_match_parse_bit_for_bit() {
+            let mut tokens: Vec<String> = [
+                "0",
+                "-0",
+                "0.0",
+                "-0.000",
+                "1",
+                "0.1",
+                "0.3",
+                "-2.5",
+                "9007199254740992",
+                "9007199254740993",
+                "900719925474099.3",
+                "0.9007199254740993",
+                "1234567890123456789",
+                "12345678901234567890",
+                "0.0000000000000000000001",
+                "0.00000000000000000000001",
+                "123.4560000000000000000",
+                "4503599627370497.5",
+            ]
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+            let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..20_000 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let digits = (lcg >> 59) as usize + 1; // 1..=32 digits
+                let point = (lcg >> 40) as usize % (digits + 1);
+                let mut t = String::new();
+                if lcg & 1 == 1 {
+                    t.push('-');
+                }
+                let mut r = lcg;
+                for i in 0..digits {
+                    if i == point && i > 0 {
+                        t.push('.');
+                    }
+                    r = r.rotate_left(7) ^ 0x2545_f491_4f6c_dd1d;
+                    t.push(char::from(b'0' + (r % 10) as u8));
+                }
+                tokens.push(t);
+            }
+            let mut scratch = UtilScratch::default();
+            for t in &tokens {
+                let line = format!(
+                    r#"{{"UtilSample":{{"time":1.0,"utilisations":[],"queue_depths":[],"queued":0,"rates":[{t}]}}}}"#
+                );
+                assert!(probe_util_sample(line.as_bytes(), &mut scratch), "{t}");
+                let mut expected: f64 = t.parse().unwrap();
+                if expected == 0.0 && !t.contains('.') {
+                    expected = 0.0;
+                }
+                assert_eq!(scratch.rates[0].to_bits(), expected.to_bits(), "{t}");
+                assert!(check(&line), "{t}");
             }
         }
 

@@ -111,7 +111,9 @@ impl SparseGraphGenerator {
             .collect();
 
         for j in 0..c.num_operators {
-            let fanin = rng.gen_range(1..=c.max_fanin);
+            // The pool may hold fewer streams than the drawn fan-in (a
+            // graph's first operators over one or two inputs).
+            let fanin = rng.gen_range(1..=c.max_fanin).min(pool.len());
             let first = rng.gen_range(0..pool.len());
             let mut ports: Vec<usize> = vec![first];
             let mut support = pool[first].1.clone();
@@ -229,6 +231,16 @@ mod tests {
         assert!(multi > 50, "{multi} multi-support rows");
         // And the whole model is sparse: nnz ≪ m·d.
         assert!(model.nnz() * 6 < model.num_operators() * model.num_inputs());
+    }
+
+    #[test]
+    fn fan_in_past_the_pool_size_terminates() {
+        // One input: the first operator's pool holds a single stream, so
+        // any drawn fan-in above 1 must settle for what the pool has.
+        for seed in 0..16 {
+            let g = SparseGraphGenerator::sized(1, 3).generate(seed);
+            assert_eq!(g.num_operators(), 3);
+        }
     }
 
     #[test]

@@ -37,6 +37,8 @@ SPARSE_PROBE_FRACTION = 0.5  # probes < this x ops x nodes
 SIMD_MIN_SPEEDUP = 2.0       # best AVX2 cell of a full planner recording
 SIM_CELL_NAME, SIM_MIN_RATE, SIM_MIN_SPEEDUP = "chain_1m", 1e6, 10.0
 CTRL_CELL_NAME, CTRL_MIN_SPEEDUP = "ingest_1m", 5.0
+CTRL_QUICK_LOOP = "loop_m5k_n64"  # the loop at surge scale, in every run
+CTRL_LOOP_NAME, CTRL_LOOP_MIN_SPS = "loop_m50k_n1000", 5000.0
 
 
 def check_planner(doc, err):
@@ -110,6 +112,17 @@ def check_ctrl(doc, err):
     elif not doc["quick"] and cell["ingest_speedup"] < CTRL_MIN_SPEEDUP:
         err(f"{CTRL_CELL_NAME}: ingest_speedup {cell['ingest_speedup']:.2f} "
             f"under the {CTRL_MIN_SPEEDUP:.0f}x floor")
+    if CTRL_QUICK_LOOP not in by_name:
+        err(f"loop cell {CTRL_QUICK_LOOP!r} missing")
+    if doc["quick"]:
+        return
+    cell = by_name.get(CTRL_LOOP_NAME)
+    if cell is None:
+        err(f"loop cell {CTRL_LOOP_NAME!r} missing")
+    elif cell["batched_samples_per_sec"] < CTRL_LOOP_MIN_SPS:
+        err(f"{CTRL_LOOP_NAME}: batched_samples_per_sec "
+            f"{cell['batched_samples_per_sec']:.0f} under the "
+            f"{CTRL_LOOP_MIN_SPS:.0f} floor")
 
 
 # headline column -> (schema version, seed keys, cell keys, checker)
